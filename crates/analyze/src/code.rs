@@ -21,8 +21,8 @@
 //!
 //! File scope is part of the rule definitions below: `GAA601` guards the
 //! request path, `GAA602`/`GAA604` guard the files migrated onto
-//! `gaa_race::sync`, `GAA603` guards the error funnels in `tcp.rs` and
-//! `glue.rs`.
+//! `gaa_race::sync`, `GAA603` guards the error funnels in `conn.rs`,
+//! `reactor.rs` and `glue.rs`.
 
 use crate::lint::{Lint, LintSeverity};
 use std::path::{Path, PathBuf};
@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 /// Files forming the request path: a panic here turns one bad request
 /// into a dead worker (a DoS primitive), so all failures must be `Result`s.
 const REQUEST_PATH_FILES: &[&str] = &[
-    "crates/httpd/src/tcp.rs",
+    "crates/httpd/src/conn.rs",
     "crates/httpd/src/reactor.rs",
     "crates/httpd/src/timer.rs",
     "crates/httpd/src/glue.rs",
@@ -52,7 +52,7 @@ const SHIM_MIGRATED_FILES: &[&str] = &[
     "crates/conditions/src/multipattern.rs",
     "crates/ids/src/matcher.rs",
     "crates/ids/src/signatures.rs",
-    "crates/httpd/src/tcp.rs",
+    "crates/httpd/src/conn.rs",
     "crates/httpd/src/reactor.rs",
     "crates/httpd/src/timer.rs",
     "crates/swarm/src/node.rs",
@@ -61,7 +61,7 @@ const SHIM_MIGRATED_FILES: &[&str] = &[
 
 /// Files whose `Err` arms must reach the audit/degradation funnel.
 const ERR_AUDIT_FILES: &[&str] = &[
-    "crates/httpd/src/tcp.rs",
+    "crates/httpd/src/conn.rs",
     "crates/httpd/src/reactor.rs",
     "crates/httpd/src/glue.rs",
 ];
@@ -294,7 +294,7 @@ fn has_ordering_rationale(lines: &[&str], index: usize) -> bool {
 mod tests {
     use super::*;
 
-    const REQUEST_FILE: &str = "crates/httpd/src/tcp.rs";
+    const REQUEST_FILE: &str = "crates/httpd/src/conn.rs";
     const MIGRATED_ONLY: &str = "crates/ids/src/threat.rs";
 
     #[test]

@@ -1,24 +1,21 @@
-//! End-to-end HTTP throughput: serving front × decision cache ablation,
-//! plus the slowloris dimensions the epoll reactor exists for.
+//! End-to-end HTTP throughput: decision-cache ablation on the serving
+//! front, plus the slowloris dimensions the epoll reactor exists for.
 //!
 //! Spawns loopback servers over the same GAA policy and drives each with
 //! concurrent keep-alive clients:
 //!
-//! 1. `seed_front` — the original thread-per-connection,
-//!    one-request-per-connection front ([`TcpFront::spawn_thread_per_connection`]);
-//! 2. `pool` — the bounded worker-pool front with HTTP/1.1 keep-alive,
-//!    decision cache **off**;
-//! 3. `pool_cached` — the same front with the §9 authorization decision
+//! 1. `seed_front` — the historical baseline: a blocking
+//!    thread-per-connection, one-request-per-connection loop
+//!    ([`with_reference_front`], which lives in this crate only);
+//! 2. `reactor` — the serving front ([`ReactorFront`]), decision cache
+//!    **off**;
+//! 3. `reactor_cached` — the same front with the §9 authorization decision
 //!    cache **on**;
-//! 4. `reactor` — the nonblocking epoll reactor front
-//!    ([`ReactorFront`]), decision cache off, happy path;
-//! 5. `idle_conns` / `slow_writer` — the pool and reactor fronts measured
-//!    *while* a horde of idle keep-alive connections (and then slow-writer
-//!    connections dribbling bytes of a never-completing request) is
-//!    attached. The worker pool's threads get pinned; the reactor treats
-//!    each attacker as a connection-state struct. The pool's collapse is
-//!    recorded, the reactor's retention is gated (≥ 80% of its unloaded
-//!    throughput in a full run).
+//! 4. `idle_conns` / `slow_writer` — the reactor measured *while* a horde
+//!    of idle keep-alive connections (and then slow-writer connections
+//!    dribbling bytes of a never-completing request) is attached. Each
+//!    attacker is a connection-state struct, not a thread; retention is
+//!    gated (≥ 80% of unloaded throughput in a full run).
 //!
 //! Before any timing, two **differential gates** run:
 //!
@@ -27,9 +24,9 @@
 //!   (`FilePolicyStore::touch`) and an IDS threat-level escalation and
 //!   relaxation — and refuses to benchmark if any status diverges;
 //! * the front gate replays a seeded workload serially over real sockets
-//!   against the seed, pool, and reactor fronts (fresh identical servers)
-//!   and refuses to benchmark if any status line diverges — three
-//!   transports, one observable behavior.
+//!   against the reference loop and the reactor (fresh identical servers)
+//!   and refuses to benchmark if any status line diverges — one
+//!   production front, one small reference it must agree with.
 //!
 //! ```text
 //! http_throughput [--write FILE] [--iterations N] [--smoke]
@@ -40,19 +37,19 @@
 //! `serde_json`); `--write` also saves it, which is how the committed
 //! `BENCH_http_throughput.json` is produced.
 //!
-//! [`TcpFront::spawn_thread_per_connection`]: gaa_httpd::tcp::TcpFront::spawn_thread_per_connection
+//! [`with_reference_front`]: gaa_bench::loopback::with_reference_front
 //! [`ReactorFront`]: gaa_httpd::reactor::ReactorFront
 
 use gaa_audit::notify::CollectingNotifier;
 use gaa_audit::VirtualClock;
 use gaa_bench::loopback::{
-    emit_json, measure_addr, measure_window, raw_wire, status_line_over_socket, BenchArgs,
+    emit_json, measure_addr, measure_window, raw_wire, status_line_over_socket,
+    with_reference_front, BenchArgs,
 };
 use gaa_conditions::{register_standard, StandardServices};
 use gaa_core::{DecisionCache, FilePolicyStore, GaaApiBuilder, MemoryPolicyStore};
 use gaa_eacl::parse_eacl_list;
 use gaa_httpd::reactor::{ReactorConfig, ReactorFront};
-use gaa_httpd::tcp::{PoolConfig, TcpFront};
 use gaa_httpd::{AccessControl, GaaGlue, Server, StatusCode, Vfs};
 use gaa_ids::ThreatLevel;
 use gaa_workload::{AttackKind, ScenarioBuilder};
@@ -150,12 +147,6 @@ fn throughput_server(cached: bool) -> Arc<Server> {
     ))
 }
 
-/// Drives `front` with [`CLIENTS`] concurrent clients of `n` requests each
-/// over [`PATHS`] and returns requests per second.
-fn measure(front: &TcpFront, n: u32) -> f64 {
-    measure_addr(front.addr(), n, CLIENTS, PATHS)
-}
-
 /// Opens `count` keep-alive connections that send nothing at all — the
 /// cheapest possible slowloris. The streams must be kept alive by the
 /// caller for the duration of the measurement.
@@ -197,7 +188,7 @@ fn spawn_slow_writers(
     })
 }
 
-/// One loaded dimension for one front: unloaded reference, then the same
+/// The loaded dimensions: unloaded reference, then the same
 /// probe with `idle` parked connections (and, for the slow-writer pass,
 /// `slow` dribblers) attached. Returns `(unloaded, idle_loaded,
 /// slow_loaded)` in requests per second.
@@ -214,11 +205,11 @@ fn loaded_profile(addr: SocketAddr, idle: usize, slow: usize, window: Duration) 
     (unloaded, idle_loaded, slow_loaded)
 }
 
-/// Replays one seeded mixed workload serially against the seed,
-/// pool, and reactor fronts — each over a *fresh* identical server — and
-/// counts status-line divergences. Serial replay with `connection: close`
-/// keeps every server's IDS/threat trajectory identical, so any
-/// divergence is a transport bug, not nondeterminism.
+/// Replays one seeded mixed workload serially against the reference loop
+/// and the reactor — each over a *fresh* identical server — and counts
+/// status-line divergences. Serial replay with `connection: close` keeps
+/// both servers' IDS/threat trajectories identical, so any divergence is
+/// a transport bug, not nondeterminism.
 fn front_differential_gate() -> (usize, usize) {
     let scenario = ScenarioBuilder::new(43, vec!["/index.html".into(), "/docs/page1.html".into()])
         .legit(60)
@@ -226,34 +217,15 @@ fn front_differential_gate() -> (usize, usize) {
         .attacks(AttackKind::MalformedUrl, 8)
         .scan_scripts(1, 5)
         .build();
-    let wires: Vec<Vec<u8>> = scenario
-        .items
-        .iter()
-        .map(|i| raw_wire(&i.request))
-        .collect();
-
     let replay_statuses = |addr: SocketAddr| -> Vec<String> {
-        wires
+        scenario
+            .items
             .iter()
-            .map(|raw| status_line_over_socket(addr, raw))
+            .map(|item| status_line_over_socket(addr, &raw_wire(&item.request)))
             .collect()
     };
 
-    let seed_front =
-        TcpFront::spawn_thread_per_connection("127.0.0.1:0", throughput_server(false), None)
-            .expect("bind seed front");
-    let seed_statuses = replay_statuses(seed_front.addr());
-    seed_front.stop();
-
-    let pool = TcpFront::spawn_pool(
-        "127.0.0.1:0",
-        throughput_server(false),
-        PoolConfig::default(),
-        None,
-    )
-    .expect("bind pool front");
-    let pool_statuses = replay_statuses(pool.addr());
-    pool.stop();
+    let reference_statuses = with_reference_front(&throughput_server(false), replay_statuses);
 
     let reactor =
         ReactorFront::spawn("127.0.0.1:0", throughput_server(false)).expect("bind reactor front");
@@ -261,21 +233,16 @@ fn front_differential_gate() -> (usize, usize) {
     reactor.stop();
 
     let mut mismatches = 0usize;
-    for (i, ((seed, pool), reactor)) in seed_statuses
-        .iter()
-        .zip(&pool_statuses)
-        .zip(&reactor_statuses)
-        .enumerate()
-    {
-        if seed != pool || seed != reactor {
+    for (i, (reference, reactor)) in reference_statuses.iter().zip(&reactor_statuses).enumerate() {
+        if reference != reactor {
             mismatches += 1;
             eprintln!(
-                "FRONT DIVERGENCE at item {i} ({:?}): seed={seed:?} pool={pool:?} reactor={reactor:?}",
+                "FRONT DIVERGENCE at item {i} ({:?}): reference={reference:?} reactor={reactor:?}",
                 scenario.items[i].request.target
             );
         }
     }
-    (wires.len(), mismatches)
+    (scenario.items.len(), mismatches)
 }
 
 /// A GAA server over a shared on-disk system policy file, returning the
@@ -380,77 +347,40 @@ fn main() {
     assert!(diff_hits > 0, "differential gate never hit the cache");
     eprintln!("differential gate: {diff_items} items, 0 mismatches, {diff_hits} cache hits");
 
-    // Second gate: three serving fronts, one observable behavior. Refuse to
-    // compare throughputs of fronts that do not serve identical answers.
+    // Second gate: the serving front against its reference. Refuse to
+    // publish throughputs of a front that does not serve identical answers.
     let (front_items, front_mismatches) = front_differential_gate();
     assert_eq!(
         front_mismatches, 0,
-        "serving fronts diverged on {front_mismatches}/{front_items} items"
+        "reactor diverged from the reference loop on {front_mismatches}/{front_items} items"
     );
     eprintln!("front differential gate: {front_items} items, 0 mismatches");
 
-    let seed_front =
-        TcpFront::spawn_thread_per_connection("127.0.0.1:0", throughput_server(false), None)
-            .expect("bind seed front");
-    let seed_rps = measure(&seed_front, per_client);
-    seed_front.stop();
-
-    let pool = TcpFront::spawn_pool(
-        "127.0.0.1:0",
-        throughput_server(false),
-        PoolConfig::default(),
-        None,
-    )
-    .expect("bind pool front");
-    let pool_rps = measure(&pool, per_client);
-    pool.stop();
-
-    let cached_server = throughput_server(true);
-    let pool_cached = TcpFront::spawn_pool(
-        "127.0.0.1:0",
-        cached_server.clone(),
-        PoolConfig::default(),
-        None,
-    )
-    .expect("bind cached pool front");
-    let cached_rps = measure(&pool_cached, per_client);
-    pool_cached.stop();
-    let cache_stats = cached_server.decision_cache_stats();
+    let seed_rps = with_reference_front(&throughput_server(false), |addr| {
+        measure_addr(addr, per_client, CLIENTS, PATHS)
+    });
 
     let reactor =
         ReactorFront::spawn("127.0.0.1:0", throughput_server(false)).expect("bind reactor front");
     let reactor_rps = measure_addr(reactor.addr(), per_client, CLIENTS, PATHS);
     reactor.stop();
 
+    let cached_server = throughput_server(true);
+    let reactor_cached = ReactorFront::spawn("127.0.0.1:0", cached_server.clone())
+        .expect("bind cached reactor front");
+    let cached_rps = measure_addr(reactor_cached.addr(), per_client, CLIENTS, PATHS);
+    reactor_cached.stop();
+    let cache_stats = cached_server.decision_cache_stats();
+
     // Slowloris dimensions: the same probe, unloaded → with idle keep-alive
     // connections parked → with slow-writer dribblers on top. Deadlines are
-    // set far beyond the measurement window so what is measured is each
+    // set far beyond the measurement window so what is measured is the
     // front's *architecture* under attack, not its timeout tuning.
     let (idle_count, slow_count, window) = if smoke {
         (100, 8, Duration::from_millis(500))
     } else {
         (1000, 64, Duration::from_secs(2))
     };
-
-    let pool_loaded = TcpFront::spawn_pool(
-        "127.0.0.1:0",
-        throughput_server(false),
-        PoolConfig {
-            // Queue deeper than the attack so idle connections wait in the
-            // queue instead of being shed — the pool's honest failure mode
-            // is worker pinning, and that is what gets recorded.
-            queue_depth: 8192,
-            read_timeout: Duration::from_secs(60),
-            request_deadline: Duration::from_secs(60),
-            ..PoolConfig::default()
-        },
-        None,
-    )
-    .expect("bind loaded pool front");
-    let (pool_unloaded, pool_idle, pool_slow) =
-        loaded_profile(pool_loaded.addr(), idle_count, slow_count, window);
-    pool_loaded.stop();
-
     let reactor_loaded = ReactorFront::spawn_with(
         "127.0.0.1:0",
         throughput_server(false),
@@ -467,11 +397,9 @@ fn main() {
         loaded_profile(reactor_loaded.addr(), idle_count, slow_count, window);
     reactor_loaded.stop();
 
-    let pool_retention = pool_slow / pool_unloaded.max(1.0);
     let reactor_retention = reactor_slow / reactor_unloaded.max(1.0);
     eprintln!(
-        "loaded ({idle_count} idle + {slow_count} slow): pool {pool_unloaded:.0} -> {pool_idle:.0} -> {pool_slow:.0} rps ({:.0}% retained), reactor {reactor_unloaded:.0} -> {reactor_idle:.0} -> {reactor_slow:.0} rps ({:.0}% retained)",
-        pool_retention * 100.0,
+        "loaded ({idle_count} idle + {slow_count} slow): reactor {reactor_unloaded:.0} -> {reactor_idle:.0} -> {reactor_slow:.0} rps ({:.0}% retained)",
         reactor_retention * 100.0
     );
     // The reactor must shrug the attack off. Smoke windows are short and
@@ -496,29 +424,22 @@ fn main() {
     );
     let _ = write!(
         json,
-        "\"pool\":{{\"req_per_sec\":{pool_rps:.0},\"us_per_request\":{:.1}}},",
-        1e6 / pool_rps
-    );
-    let _ = write!(
-        json,
-        "\"pool_cached\":{{\"req_per_sec\":{cached_rps:.0},\"us_per_request\":{:.1}}},",
-        1e6 / cached_rps
-    );
-    let _ = write!(
-        json,
         "\"reactor\":{{\"req_per_sec\":{reactor_rps:.0},\"us_per_request\":{:.1}}},",
         1e6 / reactor_rps
     );
     let _ = write!(
         json,
+        "\"reactor_cached\":{{\"req_per_sec\":{cached_rps:.0},\"us_per_request\":{:.1}}},",
+        1e6 / cached_rps
+    );
+    let _ = write!(
+        json,
         "\"idle_conns\":{{\"count\":{idle_count},\
-         \"pool_unloaded_rps\":{pool_unloaded:.0},\"pool_loaded_rps\":{pool_idle:.0},\
          \"reactor_unloaded_rps\":{reactor_unloaded:.0},\"reactor_loaded_rps\":{reactor_idle:.0}}},"
     );
     let _ = write!(
         json,
         "\"slow_writer\":{{\"count\":{slow_count},\"idle_count\":{idle_count},\
-         \"pool_rps\":{pool_slow:.0},\"pool_retention\":{pool_retention:.3},\
          \"reactor_rps\":{reactor_slow:.0},\"reactor_retention\":{reactor_retention:.3}}},"
     );
     let _ = write!(
@@ -536,20 +457,19 @@ fn main() {
         json,
         "\"differential\":{{\"items\":{diff_items},\"mismatches\":{mismatches},\"cache_hits\":{diff_hits}}},"
     );
-    let _ = write!(json, "\"speedup_pool_vs_seed\":{:.2},", pool_rps / seed_rps);
     let _ = write!(
         json,
-        "\"speedup_reactor_vs_pool\":{:.2},",
-        reactor_rps / pool_rps
+        "\"speedup_reactor_vs_seed\":{:.2},",
+        reactor_rps / seed_rps
     );
     let _ = write!(
         json,
         "\"speedup_cache_on_vs_off\":{:.2},",
-        cached_rps / pool_rps
+        cached_rps / reactor_rps
     );
     let _ = write!(
         json,
-        "\"speedup_pool_cached_vs_seed\":{:.2}",
+        "\"speedup_reactor_cached_vs_seed\":{:.2}",
         cached_rps / seed_rps
     );
     json.push('}');

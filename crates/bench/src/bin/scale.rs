@@ -9,8 +9,8 @@
 //! keeps ~3 of those entries; the full composition pays a deep policy
 //! copy plus a D+3-entry scan per request.
 //!
-//! Two server configurations are driven through the real worker-pool
-//! front with concurrent keep-alive clients replaying a zipf-skewed
+//! Two server configurations are driven through the real serving front
+//! ([`ReactorFront`]) with concurrent keep-alive clients replaying a zipf-skewed
 //! workload ([`gaa_workload::legit::ZipfIndex`] over paths *and*
 //! accounts, 30% authenticated):
 //!
@@ -48,8 +48,7 @@ use gaa_conditions::{register_standard, StandardServices};
 use gaa_core::{GaaApiBuilder, MemoryPolicyStore};
 use gaa_eacl::parse_eacl_list;
 use gaa_httpd::auth::HtpasswdStore;
-use gaa_httpd::tcp::{PoolConfig, TcpFront};
-use gaa_httpd::{AccessControl, GaaGlue, HttpRequest, Server, Vfs};
+use gaa_httpd::{AccessControl, GaaGlue, HttpRequest, ReactorFront, Server, Vfs};
 use gaa_workload::legit::{Account, LegitTraffic};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -219,8 +218,7 @@ fn run_config(
     // growth) land before the timed section on both configurations alike.
     let statuses = replay_statuses(&server, workload);
 
-    let front = TcpFront::spawn_pool("127.0.0.1:0", server.clone(), PoolConfig::default(), None)
-        .expect("bind pool front");
+    let front = ReactorFront::spawn("127.0.0.1:0", server.clone()).expect("bind reactor front");
     let addr = front.addr();
 
     // Timed-section wires: benign zipf traffic only (every response 200).

@@ -2,16 +2,18 @@
 //!
 //! Every HTTP-level benchmark binary (`http_throughput`, `scale`) spawns
 //! real fronts on `127.0.0.1:0` and drives them with concurrent
-//! keep-alive clients over real sockets. The framing, client loop,
-//! measurement windows, wire serialization for differential replay, and
+//! keep-alive clients over real sockets. The client loop, measurement
+//! windows, wire serialization for differential replay, the
+//! reference front the reactor is differentially gated against, and
 //! the `--write/--iterations/--smoke` argument envelope live here so the
 //! binaries measure different *configurations*, not different harnesses.
 
-use gaa_httpd::HttpRequest;
+use gaa_httpd::conn::read_frame;
+use gaa_httpd::{HttpRequest, Server};
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,25 +79,6 @@ pub fn emit_json(json: &str, write_to: Option<&str>) {
     }
 }
 
-/// Total frame length of one HTTP response (headers + `content-length`
-/// body) once `buf` holds it completely.
-#[must_use]
-pub fn frame_len(buf: &[u8]) -> Option<usize> {
-    let header_end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = String::from_utf8_lossy(&buf[..header_end]);
-    let content_length = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.trim()
-                .eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>().ok())?
-        })
-        .unwrap_or(0);
-    let total = header_end + 4 + content_length;
-    (buf.len() >= total).then_some(total)
-}
-
 /// One benchmark client: `n` requests drawn round-robin from `wires` over
 /// keep-alive connections, reconnecting whenever the server closes. Every
 /// response must carry a status in `expect_prefixes` (typically
@@ -116,17 +99,9 @@ pub fn run_wire_client(addr: SocketAddr, wires: &[Vec<u8>], n: u32, expect_prefi
         };
         s.write_all(&wires[(i as usize) % wires.len()])
             .expect("write");
-        let mut chunk = [0u8; 4096];
-        let (response, closed) = loop {
-            if let Some(len) = frame_len(&carry) {
-                let rest = carry.split_off(len);
-                break (std::mem::replace(&mut carry, rest), false);
-            }
-            let read = s.read(&mut chunk).expect("read");
-            if read == 0 {
-                break (std::mem::take(&mut carry), true);
-            }
-            carry.extend_from_slice(&chunk[..read]);
+        let (response, closed) = match read_frame(s, &mut carry).expect("read") {
+            Some(response) => (response, false),
+            None => (std::mem::take(&mut carry), true),
         };
         let text = String::from_utf8_lossy(&response);
         assert!(
@@ -144,12 +119,6 @@ pub fn run_wire_client(addr: SocketAddr, wires: &[Vec<u8>], n: u32, expect_prefi
 #[must_use]
 pub fn get_wire(path: &str) -> Vec<u8> {
     format!("GET {path} HTTP/1.1\r\nhost: bench\r\n\r\n").into_bytes()
-}
-
-/// One benchmark client: `n` GET requests over `paths` round-robin.
-pub fn run_client(addr: SocketAddr, n: u32, paths: &[&str]) {
-    let wires: Vec<Vec<u8>> = paths.iter().map(|p| get_wire(p)).collect();
-    run_wire_client(addr, &wires, n, &["HTTP/1.1 200"]);
 }
 
 /// Drives the front at `addr` with `clients` concurrent clients replaying
@@ -193,7 +162,7 @@ pub fn measure_addr(
 /// Time-windowed, failure-tolerant throughput probe for *loaded*
 /// dimensions: counts completed 200s within `window`, treating timeouts
 /// and resets as zero-score attempts (a collapsed front scores ~0 instead
-/// of panicking the harness the way [`run_client`] would).
+/// of panicking the harness the way [`run_wire_client`] would).
 #[must_use]
 pub fn measure_window(addr: SocketAddr, window: Duration, clients: usize) -> f64 {
     let deadline = Instant::now() + window;
@@ -204,7 +173,6 @@ pub fn measure_window(addr: SocketAddr, window: Duration, clients: usize) -> f64
             std::thread::spawn(move || {
                 let mut stream: Option<TcpStream> = None;
                 let mut carry: Vec<u8> = Vec::new();
-                let mut chunk = [0u8; 4096];
                 while Instant::now() < deadline {
                     let s = match stream.as_mut() {
                         Some(s) => s,
@@ -228,16 +196,8 @@ pub fn measure_window(addr: SocketAddr, window: Duration, clients: usize) -> f64
                         stream = None;
                         continue;
                     }
-                    let response = loop {
-                        if let Some(len) = frame_len(&carry) {
-                            let rest = carry.split_off(len);
-                            break Some(std::mem::replace(&mut carry, rest));
-                        }
-                        match s.read(&mut chunk) {
-                            Ok(0) | Err(_) => break None, // EOF/timeout: failed attempt
-                            Ok(read) => carry.extend_from_slice(&chunk[..read]),
-                        }
-                    };
+                    // EOF/timeout: a failed attempt.
+                    let response = read_frame(s, &mut carry).ok().flatten();
                     match response {
                         Some(bytes) => {
                             let text = String::from_utf8_lossy(&bytes);
@@ -318,7 +278,7 @@ pub fn keepalive_wire(request: &HttpRequest) -> Vec<u8> {
 /// tagged error string — which also diverges, and therefore also gates.
 #[must_use]
 pub fn status_line_over_socket(addr: SocketAddr, raw: &[u8]) -> String {
-    match gaa_httpd::tcp::send_raw(addr, raw) {
+    match gaa_httpd::reactor::send_raw(addr, raw) {
         Ok(bytes) => String::from_utf8_lossy(&bytes)
             .lines()
             .next()
@@ -326,6 +286,59 @@ pub fn status_line_over_socket(addr: SocketAddr, raw: &[u8]) -> String {
             .trim()
             .to_string(),
         Err(e) => format!("<io error: {}>", e.kind()),
+    }
+}
+
+/// Runs `drive` against the reference front: a blocking accept loop, one
+/// thread per connection, one request per connection, `connection:
+/// close` — the shape of the original seed front. It shares nothing with
+/// the reactor but [`read_frame`] and [`Server::handle_bytes`], which is
+/// what makes it the reference side of the front differential gate (and
+/// the historical `seed_front` throughput baseline). Not a production
+/// front: no deadlines beyond a read timeout, no admission control.
+pub fn with_reference_front<T>(server: &Server, drive: impl FnOnce(SocketAddr) -> T) -> T {
+    /// Ends the accept loop when `drive` returns — or panics, which would
+    /// otherwise leave the scope waiting on `accept()` forever.
+    struct Stop<'a>(&'a AtomicBool, SocketAddr);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            // Relaxed: a pure loop-exit flag, it publishes nothing.
+            self.0.store(true, Ordering::Relaxed);
+            let _ = TcpStream::connect(self.1); // unblock accept()
+        }
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind reference front");
+    let addr = listener.local_addr().expect("reference front address");
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for stream in listener.incoming().flatten() {
+                // Relaxed: loop-exit flag only, see `Stop`.
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                scope.spawn(move || serve_one_request(stream, server));
+            }
+        });
+        let _stop = Stop(&stop, addr);
+        drive(addr)
+    })
+}
+
+/// Reads until one request is framed (or EOF / a 5 s stall hands over the
+/// partial), answers it, closes.
+fn serve_one_request(mut stream: TcpStream, server: &Server) {
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    let peer_ip = stream
+        .peer_addr()
+        .map_or_else(|_| String::new(), |p| p.ip().to_string());
+    let mut carry = Vec::new();
+    let request = match read_frame(&mut stream, &mut carry) {
+        Ok(Some(request)) => request,
+        _ => carry, // EOF or stall: whatever arrived goes to the parser
+    };
+    if !request.is_empty() {
+        let _ = stream.write_all(&server.handle_bytes(&request, &peer_ip).to_bytes());
     }
 }
 
@@ -346,17 +359,6 @@ pub fn vm_rss_kb() -> Option<u64> {
 #[cfg(test)]
 mod loopback_tests {
     use super::*;
-
-    #[test]
-    fn frame_len_waits_for_full_body() {
-        let head = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\n";
-        assert_eq!(frame_len(head), None);
-        let mut full = head.to_vec();
-        full.extend_from_slice(b"hello");
-        assert_eq!(frame_len(&full), Some(full.len()));
-        full.extend_from_slice(b"HTTP/1.1 200 ..."); // pipelined next frame
-        assert_eq!(frame_len(&full), Some(head.len() + 5));
-    }
 
     #[test]
     fn wires_preserve_headers_and_differ_on_connection_handling() {

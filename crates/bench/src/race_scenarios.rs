@@ -9,15 +9,12 @@
 //! funnels each execution's event log through the data-race and
 //! lock-cycle detectors.
 //!
-//! The scenarios mirror the four hazards called out in DESIGN.md §10:
+//! The scenarios mirror the hazards called out in DESIGN.md §10:
 //!
 //! * `cache_stamp` — a decision-cache insert racing a threat-epoch bump;
 //!   the PR-4 stamp recheck must keep every stale grant invisible.
 //! * `threat_escalation` — suspicion-driven escalation (`Low → Medium →
 //!   High`) while an evaluation is in flight.
-//! * `pool_saturation` — the bounded accept queue under saturation and
-//!   shutdown: every connection is served or 503-counted, the queue drains,
-//!   and the `Frontend` degradation mirror matches the last transition.
 //! * `breaker_half_open` — two callers racing the circuit breaker's
 //!   half-open probe while the transport recovers; breaker phase and the
 //!   `Notifier` degradation mirror must never diverge.
@@ -75,11 +72,6 @@ pub fn all_scenarios() -> Vec<Scenario> {
             name: "threat_escalation",
             description: "suspicion-driven escalation while an evaluation is in flight",
             build: threat_escalation,
-        },
-        Scenario {
-            name: "pool_saturation",
-            description: "bounded accept queue under saturation and shutdown (503 accounting)",
-            build: pool_saturation,
         },
         Scenario {
             name: "breaker_half_open",
@@ -220,115 +212,6 @@ fn threat_escalation(seed: u64) -> ScenarioFn {
             "each transition bumps the epoch exactly once"
         );
         assert_no_stale_grant(&monitor, &cache, KEY);
-    })
-}
-
-/// Shared state of the worker-pool model (mirrors `gaa_httpd::tcp`: a
-/// bounded queue, a stop flag that gates loop exit only, and saturation
-/// sheds load visibly instead of blocking the accept thread).
-struct PoolModel {
-    queue: Mutex<VecDeque<u32>>,
-    not_empty: Condvar,
-    stop: AtomicBool,
-    rejected: AtomicU64,
-    served: AtomicU64,
-    degraded_at_exit: AtomicBool,
-}
-
-fn pool_saturation(_seed: u64) -> ScenarioFn {
-    const CONNS: u32 = 3;
-    const CAP: usize = 1;
-    const WORKERS: usize = 2;
-    Box::new(move |exec: &mut Exec| {
-        let degradation = DegradationState::new();
-        let pool = Arc::new(PoolModel {
-            queue: Mutex::named("pool.queue", VecDeque::new()),
-            not_empty: Condvar::named("pool.not_empty"),
-            stop: AtomicBool::named("pool.stop", false),
-            rejected: AtomicU64::named("pool.rejected", 0),
-            served: AtomicU64::named("pool.served", 0),
-            degraded_at_exit: AtomicBool::named("pool.degraded_at_exit", false),
-        });
-        for _ in 0..WORKERS {
-            let pool = Arc::clone(&pool);
-            exec.spawn(move || loop {
-                let mut queue = pool.queue.lock();
-                let conn = loop {
-                    if let Some(conn) = queue.pop_front() {
-                        break Some(conn);
-                    }
-                    // ordering: Relaxed — pure loop-exit signal, exactly as
-                    // in tcp.rs; the queue mutex orders the payload data.
-                    if pool.stop.load(Ordering::Relaxed) {
-                        break None;
-                    }
-                    queue = pool.not_empty.wait(queue);
-                };
-                drop(queue);
-                match conn {
-                    // ordering: Relaxed — monotonic statistic.
-                    Some(_) => {
-                        pool.served.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => break,
-                }
-            });
-        }
-        {
-            let pool = Arc::clone(&pool);
-            let degradation = degradation.clone();
-            let clock = VirtualClock::new();
-            exec.spawn(move || {
-                let mut degraded_here = false;
-                for conn in 0..CONNS {
-                    let mut queue = pool.queue.lock();
-                    if queue.len() >= CAP {
-                        drop(queue);
-                        // ordering: Relaxed — monotonic statistic.
-                        pool.rejected.fetch_add(1, Ordering::Relaxed);
-                        if !degraded_here {
-                            degraded_here = true;
-                            degradation.mark_degraded(
-                                Component::Frontend,
-                                "accept queue full",
-                                clock.now(),
-                            );
-                        }
-                    } else {
-                        queue.push_back(conn);
-                        drop(queue);
-                        if degraded_here {
-                            degraded_here = false;
-                            degradation.mark_recovered(Component::Frontend, clock.now());
-                        }
-                        pool.not_empty.notify_one();
-                    }
-                }
-                // ordering: Relaxed — loop-exit signal (see tcp.rs audit);
-                // workers drain via the queue mutex, joins do the rest.
-                pool.stop.store(true, Ordering::Relaxed);
-                pool.degraded_at_exit
-                    .store(degraded_here, Ordering::Relaxed);
-                pool.not_empty.notify_all();
-            });
-        }
-        exec.join_all();
-        let served = pool.served.load(Ordering::Relaxed);
-        let rejected = pool.rejected.load(Ordering::Relaxed);
-        assert_eq!(
-            served + rejected,
-            u64::from(CONNS),
-            "lost 503 accounting: {served} served + {rejected} rejected != {CONNS}"
-        );
-        assert!(
-            pool.queue.lock().is_empty(),
-            "connections leaked in the queue across shutdown"
-        );
-        assert_eq!(
-            degradation.is_degraded(Component::Frontend),
-            pool.degraded_at_exit.load(Ordering::Relaxed),
-            "Frontend degradation mirror diverged from the accept loop's last transition"
-        );
     })
 }
 

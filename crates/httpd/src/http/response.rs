@@ -83,7 +83,7 @@ impl HttpResponse {
     }
 
     /// Serializes to wire format with an explicit connection disposition —
-    /// the pool front's keep-alive loop decides per response.
+    /// the connection machine ([`crate::conn`]) decides per response.
     pub fn to_wire(&self, keep_alive: bool) -> Vec<u8> {
         let mut out = format!("HTTP/1.1 {}\r\n", self.status).into_bytes();
         for (name, value) in &self.headers {

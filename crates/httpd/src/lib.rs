@@ -30,20 +30,19 @@
 //!   pluggable access control (none / htaccess / GAA);
 //! * [`swarm_cfg`] — directive-style configuration for fleet threat
 //!   replication (`gaa-swarm`), plus the `Server` attachment point;
-//! * [`tcp`] — the blocking worker-pool front end (bounded queue,
-//!   keep-alive, whole-request deadlines, load shedding), kept as the
-//!   benchmark baseline;
-//! * [`reactor`] — the production front: a nonblocking epoll reactor with
-//!   per-connection state machines, where a slow or idle client costs a
-//!   connection-state struct instead of a thread;
-//! * [`timer`] — the hashed timer wheel backing the reactor's
-//!   whole-request, idle, and write-progress deadlines.
+//! * [`conn`] — the HTTP/1.x connection protocol (framing, keep-alive,
+//!   deadlines, close decisions) as a socket-free state machine;
+//! * [`reactor`] — the serving front: nonblocking epoll shards that move
+//!   bytes and timer entries between the kernel and [`conn`], so a slow or
+//!   idle client costs a connection-state struct instead of a thread;
+//! * [`timer`] — the hashed timer wheel backing the reactor's deadlines.
 
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 pub mod access_log;
 pub mod auth;
 pub mod cgi;
+pub mod conn;
 pub mod glue;
 pub mod htaccess;
 pub mod http;
@@ -53,7 +52,6 @@ pub mod reactor;
 pub mod server;
 pub mod site;
 pub mod swarm_cfg;
-pub mod tcp;
 pub mod timer;
 pub mod vfs;
 

@@ -1,15 +1,14 @@
-//! The event-driven epoll reactor front end.
+//! The serving front: an event-driven epoll reactor.
 //!
-//! The worker-pool front ([`crate::tcp`]) burns one blocking thread per
-//! in-flight connection, so a client that dribbles bytes — or simply holds
-//! a keep-alive connection open — pins a worker for the duration. Eight
-//! slowloris connections (the default pool size) stall the whole front
-//! long before CPU saturates; the IDS literature classifies exactly this
-//! slow-rate DoS as the class signature matching cannot catch, so it must
-//! be absorbed by the serving *architecture*. Here a slow client costs a
-//! connection-state struct and a timer-wheel entry, not a thread.
+//! A client that dribbles bytes — or simply holds a keep-alive connection
+//! open — must cost a connection-state struct and a timer-wheel entry,
+//! not a thread: slow-rate DoS is the class signature matching cannot
+//! catch, so the serving *architecture* absorbs it (DESIGN.md §14).
 //!
-//! Shape:
+//! The HTTP/1.x connection protocol — framing, keep-alive, which deadline
+//! is armed, when to close — is [`crate::conn::Conn`], a socket-free
+//! state machine. This module only moves bytes and timer entries between
+//! the kernel and that machine:
 //!
 //! * **Hand-rolled epoll** (raw `epoll_create1`/`epoll_ctl`/`epoll_wait`
 //!   FFI in [`sys`] — the workspace vendors no `libc`-style crate, and the
@@ -18,32 +17,29 @@
 //!   connection slab, and a hashed [`TimerWheel`]. Shard 0 additionally
 //!   owns the nonblocking listener and hands accepted connections
 //!   round-robin to all shards through per-shard mailboxes + wake pipes;
-//! * **Per-connection state machine**: `ReadHeaders → ReadBody →
-//!   (Dispatched →) Respond → WriteBackpressure → KeepAliveIdle`, plus a
-//!   `Drain` tail used on the shed path so a `503` is not destroyed by a
-//!   reset racing unread request bytes;
-//! * **Deadlines that cannot be reset by trickling bytes**: the timer
-//!   wheel arms a *whole-request* deadline when the first byte of a
-//!   request arrives (never re-armed by subsequent reads — the pool
-//!   front's per-read `set_read_timeout` reset was the headline bug), an
-//!   idle deadline for keep-alive gaps, and a write-progress deadline
-//!   under backpressure. Cancellation is lazy via generations;
+//! * **One deadline per connection**: the machine names it
+//!   ([`Deadline`]), the shard maps it to a duration from
+//!   [`ReactorConfig`] and a wheel entry. Cancellation is lazy via
+//!   generations;
 //! * **Admission control**: beyond `max_connections` the accept path
-//!   answers `503` on the spot, counts the shed, and flags
-//!   `Component::Frontend` degradation — same policy as the pool front;
-//! * **Workers only for CGI**: requests under `/cgi-bin/` (and injected
-//!   latency faults, which block) are executed on a small worker pool and
-//!   their responses delivered back to the owning shard via its mailbox;
-//!   everything else — the common path — is served inline by the shard.
+//!   answers `503` on the spot (a [`Conn::refusing`] connection, drained
+//!   so the reply is not destroyed by a reset racing unread request
+//!   bytes), counts the shed, and flags `Component::Frontend`
+//!   degradation;
+//! * **Workers only for CGI**: requests the server routes to a CGI script
+//!   (and injected latency faults, which block) are executed on a small
+//!   worker pool and their responses delivered back to the owning shard
+//!   via its mailbox; everything else — the common path — is served
+//!   inline by the shard.
 //!
 //! The cross-thread pieces (stop flag, shed counter, connection count,
 //! mailboxes) go through [`gaa_race::sync`] so the model checker can
 //! schedule them; the `reactor_dispatch` scenario in `gaa-bench` explores
 //! the dispatch/completion/wake protocol.
 
-use crate::http::{HttpResponse, StatusCode};
+use crate::conn::{Conn, Deadline, Step};
+use crate::http::{HttpRequest, HttpResponse, StatusCode};
 use crate::server::Server;
-use crate::tcp::{frame_len, wants_keep_alive};
 use crate::timer::{TimerEntry, TimerWheel};
 use gaa_audit::degrade::Component;
 use gaa_audit::{Clock, DegradationState, SystemClock};
@@ -52,7 +48,7 @@ use gaa_faults::{Fault, FaultInjector, FaultSite};
 // checker can schedule and log it (zero-cost passthrough in normal builds).
 use gaa_race::sync::{AtomicBool, AtomicU64, Mutex};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
@@ -200,18 +196,17 @@ struct Job {
     shard: usize,
     slot: usize,
     conn_id: u64,
-    frame: Vec<u8>,
-    peer_ip: String,
+    /// The server's verdict on the raw frame: a parsed request to handle,
+    /// or the refusal/4xx already decided.
+    admitted: Result<HttpRequest, HttpResponse>,
     latency_ms: u64,
-    allow_keep: bool,
 }
 
-/// A finished worker job: the wire bytes to send on `slot`/`conn_id`.
+/// A finished worker job: the response for `slot`/`conn_id`.
 struct Completion {
     slot: usize,
     conn_id: u64,
-    bytes: Vec<u8>,
-    keep: bool,
+    response: HttpResponse,
 }
 
 /// Per-shard inbox: new connections handed over by the accepting shard
@@ -268,8 +263,10 @@ impl ReactorFront {
     }
 
     /// Binds `addr` and serves `server` with explicit tuning; the fault
-    /// injector is consulted once per request at [`FaultSite::Tcp`], with
-    /// the same semantics as the pool front.
+    /// injector is consulted once per request at [`FaultSite::Tcp`]: an
+    /// injected [`Fault::Error`] resets the connection mid-request (request
+    /// consumed, no response); [`Fault::Latency`] delays the response by
+    /// the given milliseconds.
     ///
     /// # Errors
     ///
@@ -303,13 +300,12 @@ impl ReactorFront {
 
         let (job_tx, job_rx) = channel::<Job>();
         let job_rx = Arc::new(Mutex::named("reactor.jobs", job_rx));
-        let worker_threads = (0..config.workers)
+        let worker_threads = (0..config.workers.max(1))
             .map(|_| {
                 let job_rx = Arc::clone(&job_rx);
                 let server = Arc::clone(&server);
                 let mailboxes = mailboxes.clone();
-                let max = config.max_requests_per_conn;
-                std::thread::spawn(move || worker_loop(&job_rx, &server, &mailboxes, max))
+                std::thread::spawn(move || worker_loop(&job_rx, &server, &mailboxes))
             })
             .collect();
 
@@ -384,17 +380,30 @@ impl Drop for ReactorFront {
     }
 }
 
+/// Blocking one-shot HTTP client for tests and examples: sends `raw`,
+/// half-closes the write side (so the keep-alive server sees EOF and
+/// finishes), and returns the raw response bytes.
+///
+/// # Errors
+///
+/// Propagates connect/read/write errors.
+pub fn send_raw(addr: SocketAddr, raw: &[u8]) -> std::io::Result<Vec<u8>> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    stream.write_all(raw)?;
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut out = Vec::new();
+    stream.read_to_end(&mut out)?;
+    Ok(out)
+}
+
 /// Worker-pool body: serve CGI/latency jobs, deliver completions back to
 /// the owning shard's mailbox, exit when the job channel disconnects.
-fn worker_loop(
-    rx: &Mutex<Receiver<Job>>,
-    server: &Server,
-    mailboxes: &[Arc<Mailbox>],
-    _max_requests: u32,
-) {
+fn worker_loop(rx: &Mutex<Receiver<Job>>, server: &Server, mailboxes: &[Arc<Mailbox>]) {
     loop {
-        // Same shared-receiver pattern as the pool front: one worker waits
-        // on the channel, the rest on the mutex.
+        // Holding the lock across recv() is the classic shared-receiver
+        // pattern: exactly one worker waits on the channel, the rest wait
+        // on the mutex, and a delivered job releases both.
         let job = rx.lock().recv();
         let Ok(job) = job else {
             break;
@@ -402,66 +411,30 @@ fn worker_loop(
         if job.latency_ms > 0 {
             std::thread::sleep(Duration::from_millis(job.latency_ms));
         }
-        let response = server.handle_bytes(&job.frame, &job.peer_ip);
-        let keep = job.allow_keep
-            && !matches!(
-                response.status,
-                StatusCode::BadRequest | StatusCode::PayloadTooLarge
-            );
+        let response = server.answer(job.admitted);
         if let Some(mailbox) = mailboxes.get(job.shard) {
             mailbox.push_completion(Completion {
                 slot: job.slot,
                 conn_id: job.conn_id,
-                bytes: response.to_wire(keep),
-                keep,
+                response,
             });
         }
     }
 }
 
-/// Where a connection is in its request lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnState {
-    /// Waiting for / reading the request line and headers.
-    ReadHeaders,
-    /// Headers complete; reading the declared body.
-    ReadBody,
-    /// Request handed to the worker pool; awaiting its completion.
-    Dispatched,
-    /// Actively writing the response.
-    Respond,
-    /// Response write hit `WouldBlock`; waiting for writability under a
-    /// write-progress deadline.
-    WriteBackpressure,
-    /// Between requests on a keep-alive connection.
-    KeepAliveIdle,
-    /// Response sent and the connection is closing: read and discard
-    /// whatever the client still has in flight so the close cannot turn
-    /// into a reset that destroys the response (the `503` shed path).
-    Drain,
-}
-
-/// One live connection's state.
-struct Conn {
+/// One live connection: the socket, its slab/epoll/timer bookkeeping, and
+/// the protocol machine that decides what happens on it.
+struct Entry {
     stream: TcpStream,
     peer_ip: String,
     slot: usize,
-    /// Identity for worker completions; never reused across conns.
+    /// Identity for worker completions; never reused across entries.
     conn_id: u64,
-    state: ConnState,
-    carry: Vec<u8>,
-    out: Vec<u8>,
-    written: usize,
-    served: u32,
-    keep_after_write: bool,
-    /// Whole-request deadline armed for the in-progress request.
-    request_armed: bool,
+    conn: Conn,
     /// Timer-wheel generation; bumping it lazily cancels armed entries.
     generation: u64,
     /// Currently registered epoll interest mask.
     interest: u32,
-    /// Peer EOF observed; close once the pending response is written.
-    eof: bool,
 }
 
 /// What to do with a connection after driving it.
@@ -473,9 +446,7 @@ enum Verdict {
 
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKE: u64 = u64::MAX - 1;
-/// Transport-level cap on one buffered request (matches the pool front).
-const MAX_BUFFERED_REQUEST: usize = 1 << 22;
-/// How long a `Drain` tail may linger before the socket is dropped.
+/// How long a refused connection's drain tail may linger.
 const DRAIN_DEADLINE: Duration = Duration::from_millis(250);
 
 /// One reactor shard: an epoll instance, a connection slab, and a timer
@@ -495,7 +466,7 @@ struct Shard {
     stop: Arc<AtomicBool>,
     degradation: Option<DegradationState>,
     degraded_here: bool,
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Option<Entry>>,
     free: Vec<usize>,
     wheel: TimerWheel,
     started: Instant,
@@ -580,8 +551,8 @@ impl Shard {
         }
         // Shutdown: close everything this shard owns.
         for slot in 0..self.conns.len() {
-            if let Some(conn) = self.conns[slot].take() {
-                self.discard(conn);
+            if let Some(entry) = self.conns[slot].take() {
+                self.discard(entry);
             }
         }
     }
@@ -606,17 +577,20 @@ impl Shard {
                     // ordering: Relaxed — admission control is a bounded
                     // heuristic; an off-by-a-few race on the count only
                     // sheds (or admits) a connection one accept early/late.
-                    if self.active.load(Ordering::Relaxed) >= self.config.max_connections as u64 {
+                    let full =
+                        self.active.load(Ordering::Relaxed) >= self.config.max_connections as u64;
+                    // ordering: Relaxed — monotonic count; a shed socket
+                    // also counts against the cap until its drain ends.
+                    self.active.fetch_add(1, Ordering::Relaxed);
+                    if full {
                         self.shed(stream, peer);
                         continue;
                     }
-                    // ordering: Relaxed — monotonic count; see above.
-                    self.active.fetch_add(1, Ordering::Relaxed);
                     self.recover();
                     let target = self.next_shard % self.mailboxes.len();
                     self.next_shard = self.next_shard.wrapping_add(1);
                     if target == self.id {
-                        self.register_conn(stream, peer);
+                        self.register(stream, peer);
                     } else if let Some(mailbox) = self.mailboxes.get(target) {
                         mailbox.push_conn(stream, peer);
                     }
@@ -636,32 +610,27 @@ impl Shard {
         }
     }
 
-    /// At capacity: answer `503` immediately, then keep the socket in
-    /// `Drain` briefly so unread request bytes cannot turn the close into
-    /// a reset that destroys the response.
+    /// At capacity: answer `503` immediately and drain, so unread request
+    /// bytes cannot turn the close into a reset that destroys the reply.
     fn shed(&mut self, stream: TcpStream, peer: SocketAddr) {
         // ordering: Relaxed — monotonic statistic.
         self.rejected.fetch_add(1, Ordering::Relaxed);
         self.mark_degraded("connection limit reached");
-        // ordering: Relaxed — the drained socket still counts against the
-        // cap until it is released; monotonic count.
-        self.active.fetch_add(1, Ordering::Relaxed);
-        let slot = self.register_conn(stream, peer);
-        let Some(slot) = slot else { return };
-        let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
-            return;
-        };
-        conn.out = HttpResponse::with_status(StatusCode::ServiceUnavailable).to_wire(false);
-        conn.keep_after_write = false;
-        self.park_draining(conn);
+        let refusal = HttpResponse::with_status(StatusCode::ServiceUnavailable);
+        self.install(stream, peer, Conn::refusing(&refusal));
     }
 
     // ---- registration & teardown ------------------------------------
 
-    /// Installs a connection in the slab and epoll; arms the pre-request
-    /// idle deadline. Returns the slot, or `None` if registration failed
-    /// (the connection is discarded and the count released).
-    fn register_conn(&mut self, stream: TcpStream, peer: SocketAddr) -> Option<usize> {
+    fn register(&mut self, stream: TcpStream, peer: SocketAddr) {
+        let conn = Conn::new(self.config.max_requests_per_conn);
+        self.install(stream, peer, conn);
+    }
+
+    /// Installs a connection in the slab and epoll and takes the machine's
+    /// first step (which arms its first deadline). If registration fails
+    /// the connection is dropped and its admission count released.
+    fn install(&mut self, stream: TcpStream, peer: SocketAddr, conn: Conn) {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -669,49 +638,48 @@ impl Shard {
                 self.conns.len() - 1
             }
         };
-        let fd = stream.as_raw_fd();
+        if self
+            .epoll
+            .add(stream.as_raw_fd(), sys::EPOLLIN, slot as u64)
+            .is_err()
+        {
+            self.free.push(slot);
+            // ordering: Relaxed — monotonic count release.
+            self.active.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
         self.next_conn_id += 1;
-        let mut conn = Conn {
+        self.settle(Entry {
             stream,
             peer_ip: peer.ip().to_string(),
             slot,
             conn_id: self.next_conn_id,
-            state: ConnState::ReadHeaders,
-            carry: Vec::new(),
-            out: Vec::new(),
-            written: 0,
-            served: 0,
-            keep_after_write: false,
-            request_armed: false,
+            conn,
             generation: 0,
             interest: sys::EPOLLIN,
-            eof: false,
-        };
-        if self.epoll.add(fd, sys::EPOLLIN, slot as u64).is_err() {
-            self.free.push(slot);
-            // ordering: Relaxed — monotonic count release.
-            self.active.fetch_sub(1, Ordering::Relaxed);
-            return None;
-        }
-        self.arm(&mut conn, self.config.idle_deadline);
-        self.conns[slot] = Some(conn);
-        Some(slot)
+        });
     }
 
-    /// Puts a live connection back into its slab slot.
-    fn park(&mut self, conn: Conn) {
-        let slot = conn.slot;
-        if slot < self.conns.len() {
-            self.conns[slot] = Some(conn);
+    /// Drives a connection as far as it goes, then parks it back in its
+    /// slab slot or closes it.
+    fn settle(&mut self, mut entry: Entry) {
+        match self.pump(&mut entry) {
+            Verdict::Keep => {
+                let slot = entry.slot;
+                if slot < self.conns.len() {
+                    self.conns[slot] = Some(entry);
+                }
+            }
+            Verdict::Close => self.discard(entry),
         }
     }
 
     /// Closes a connection and releases its slot and admission count.
-    fn discard(&mut self, conn: Conn) {
-        self.epoll.delete(conn.stream.as_raw_fd());
-        let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        if conn.slot < self.conns.len() {
-            self.free.push(conn.slot);
+    fn discard(&mut self, entry: Entry) {
+        self.epoll.delete(entry.stream.as_raw_fd());
+        let _ = entry.stream.shutdown(Shutdown::Both);
+        if entry.slot < self.conns.len() {
+            self.free.push(entry.slot);
         }
         // ordering: Relaxed — monotonic count release.
         self.active.fetch_sub(1, Ordering::Relaxed);
@@ -719,41 +687,34 @@ impl Shard {
 
     // ---- timers ------------------------------------------------------
 
-    /// Arms (re-arms) the connection's single deadline `delay` from now.
-    /// The old entry, if any, is lazily cancelled by the generation bump.
-    fn arm(&mut self, conn: &mut Conn, delay: Duration) {
+    /// Replaces the connection's single deadline. The old wheel entry, if
+    /// any, is lazily cancelled by the generation bump; `None` only
+    /// cancels.
+    fn arm(&mut self, entry: &mut Entry, deadline: Option<Deadline>) {
         self.next_generation += 1;
-        conn.generation = self.next_generation;
-        let deadline = self.wheel.tick_for(self.started.elapsed() + delay);
-        self.wheel
-            .schedule(conn.slot as u64, conn.generation, deadline);
-    }
-
-    /// Disarms the connection's deadline (lazy: the stale entry fires into
-    /// a generation mismatch and is ignored).
-    fn disarm(&mut self, conn: &mut Conn) {
-        self.next_generation += 1;
-        conn.generation = self.next_generation;
-    }
-
-    fn deadline_fired(&mut self, entry: &TimerEntry) {
-        let slot = entry.token as usize;
-        let stale = self
-            .conns
-            .get(slot)
-            .and_then(Option::as_ref)
-            .is_none_or(|conn| conn.generation != entry.generation);
-        if stale {
-            return;
-        }
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
-            return;
+        entry.generation = self.next_generation;
+        let delay = match deadline {
+            None => return,
+            Some(Deadline::Idle) => self.config.idle_deadline,
+            Some(Deadline::Request) => self.config.request_deadline,
+            Some(Deadline::Write) => self.config.write_deadline,
+            Some(Deadline::Drain) => DRAIN_DEADLINE,
         };
-        // Whatever state the deadline caught it in — a half-trickled
-        // request, an idle keep-alive gap, a stalled response write, or a
-        // lingering drain — the connection is cut. This is the whole-request
-        // deadline the per-read timeout reset could never provide.
-        self.discard(conn);
+        let tick = self.wheel.tick_for(self.started.elapsed() + delay);
+        self.wheel
+            .schedule(entry.slot as u64, entry.generation, tick);
+    }
+
+    fn deadline_fired(&mut self, fired: &TimerEntry) {
+        // A stale entry (the connection re-armed or died since) is ignored.
+        let live = self
+            .conns
+            .get_mut(fired.token as usize)
+            .and_then(|slot| slot.take_if(|entry| entry.generation == fired.generation));
+        if let Some(mut entry) = live {
+            entry.conn.on_deadline();
+            self.settle(entry);
+        }
     }
 
     // ---- wake pipe ---------------------------------------------------
@@ -768,19 +729,12 @@ impl Shard {
                 Err(_) => break,
             }
         }
-        let (conns, completions) = {
-            let mailbox = match self.mailboxes.get(self.id) {
-                Some(m) => m,
-                None => return,
-            };
-            let mut state = mailbox.inbox.lock();
-            (
-                std::mem::take(&mut state.conns),
-                std::mem::take(&mut state.completions),
-            )
+        let Some(mailbox) = self.mailboxes.get(self.id) else {
+            return;
         };
+        let MailboxState { conns, completions } = std::mem::take(&mut *mailbox.inbox.lock());
         for (stream, peer) in conns {
-            self.register_conn(stream, peer);
+            self.register(stream, peer);
         }
         for completion in completions {
             self.apply_completion(completion);
@@ -788,104 +742,48 @@ impl Shard {
     }
 
     fn apply_completion(&mut self, completion: Completion) {
-        let matches = self
+        // The connection may have died (and its slot been reused) while
+        // the worker ran; its identity, not its slot, is what must match.
+        let waiting = self
             .conns
-            .get(completion.slot)
-            .and_then(Option::as_ref)
-            .is_some_and(|conn| {
-                conn.conn_id == completion.conn_id && conn.state == ConnState::Dispatched
-            });
-        if !matches {
-            return; // connection died while the worker ran
-        }
-        let Some(mut conn) = self.conns.get_mut(completion.slot).and_then(Option::take) else {
-            return;
-        };
-        conn.out = completion.bytes;
-        conn.written = 0;
-        conn.keep_after_write = completion.keep;
-        conn.state = ConnState::Respond;
-        let verdict = self.pump(&mut conn);
-        match verdict {
-            Verdict::Keep => self.park(conn),
-            Verdict::Close => self.discard(conn),
+            .get_mut(completion.slot)
+            .and_then(|slot| slot.take_if(|entry| entry.conn_id == completion.conn_id));
+        if let Some(mut entry) = waiting {
+            entry.conn.respond(&completion.response);
+            self.settle(entry);
         }
     }
 
     // ---- connection events -------------------------------------------
 
     fn conn_event(&mut self, slot: usize, bits: u32) {
-        let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
+        let Some(mut entry) = self.conns.get_mut(slot).and_then(Option::take) else {
             return;
         };
-        let verdict = self.drive(&mut conn, bits);
-        match verdict {
-            Verdict::Keep => self.park(conn),
-            Verdict::Close => self.discard(conn),
+        if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0
+            || (bits & sys::EPOLLIN != 0 && self.read_some(&mut entry) == Verdict::Close)
+        {
+            self.discard(entry);
+        } else {
+            self.settle(entry);
         }
     }
 
-    fn drive(&mut self, conn: &mut Conn, bits: u32) -> Verdict {
-        if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 && conn.state != ConnState::Drain {
-            return Verdict::Close;
-        }
-        if conn.state == ConnState::Drain {
-            return self.drain_some(conn);
-        }
-        if bits & sys::EPOLLIN != 0
-            && matches!(
-                conn.state,
-                ConnState::ReadHeaders | ConnState::ReadBody | ConnState::KeepAliveIdle
-            )
-        {
-            if self.read_some(conn) == Verdict::Close {
-                return Verdict::Close;
-            }
-            return self.pump(conn);
-        }
-        if bits & sys::EPOLLOUT != 0
-            && matches!(
-                conn.state,
-                ConnState::Respond | ConnState::WriteBackpressure
-            )
-        {
-            return self.pump(conn);
-        }
-        Verdict::Keep
-    }
-
-    /// Reads whatever the socket holds into `carry`. Arms the
-    /// whole-request deadline when the first byte of a new request
-    /// arrives — and **never re-arms it on subsequent reads**, which is
-    /// exactly the fix for the pool front's resetting per-read timeout.
-    fn read_some(&mut self, conn: &mut Conn) -> Verdict {
+    /// Feeds whatever the socket holds to the machine.
+    fn read_some(&mut self, entry: &mut Entry) -> Verdict {
         let mut chunk = [0u8; 16384];
         loop {
-            match conn.stream.read(&mut chunk) {
+            match entry.stream.read(&mut chunk) {
                 Ok(0) => {
-                    conn.eof = true;
-                    if conn.carry.is_empty() && conn.out.is_empty() {
-                        return Verdict::Close;
-                    }
+                    entry.conn.on_eof();
                     return Verdict::Keep;
                 }
                 Ok(n) => {
-                    if conn.carry.is_empty() && !conn.request_armed {
-                        // First byte of a new request: start the
-                        // whole-request clock.
-                        conn.request_armed = true;
-                        conn.state = ConnState::ReadHeaders;
-                        self.arm(conn, self.config.request_deadline);
-                    }
-                    conn.carry.extend_from_slice(&chunk[..n]);
-                    if conn.carry.len() > MAX_BUFFERED_REQUEST {
-                        return Verdict::Keep; // pump hands it to the parser
-                    }
-                    if n < chunk.len() {
-                        // Short read: the socket buffer is drained. The
-                        // registration is level-triggered, so if more bytes
-                        // race in, the next epoll_wait reports the fd again
-                        // — no need to pay a read() just to see EAGAIN.
+                    // Short read: the socket buffer is drained. The
+                    // registration is level-triggered, so if more bytes
+                    // race in, the next epoll_wait reports the fd again
+                    // — no need to pay a read() just to see EAGAIN.
+                    if !entry.conn.on_bytes(&chunk[..n]) || n < chunk.len() {
                         return Verdict::Keep;
                     }
                 }
@@ -896,81 +794,44 @@ impl Shard {
         }
     }
 
-    /// Advances the state machine as far as it can go without waiting:
-    /// writes pending response bytes, then frames and serves buffered
-    /// requests (pipelining), then settles into a reading or idle state.
-    fn pump(&mut self, conn: &mut Conn) -> Verdict {
+    /// Carries out the machine's steps until it waits or closes.
+    fn pump(&mut self, entry: &mut Entry) -> Verdict {
+        let mut step = entry.conn.step();
         loop {
-            match conn.state {
-                ConnState::Respond | ConnState::WriteBackpressure => {
-                    match self.write_some(conn) {
-                        Verdict::Close => return Verdict::Close,
-                        Verdict::Keep => {
-                            if conn.state == ConnState::WriteBackpressure {
-                                return Verdict::Keep; // waiting for EPOLLOUT
-                            }
-                            // Response fully written.
-                            if !conn.keep_after_write {
-                                return Verdict::Close;
-                            }
-                            conn.state = ConnState::KeepAliveIdle;
-                        }
-                    }
-                }
-                ConnState::Dispatched => return Verdict::Keep,
-                ConnState::Drain => return self.drain_some(conn),
-                ConnState::ReadHeaders | ConnState::ReadBody | ConnState::KeepAliveIdle => {
-                    let oversize = conn.carry.len() > MAX_BUFFERED_REQUEST;
-                    if let Some(len) = frame_len(&conn.carry) {
-                        let rest = conn.carry.split_off(len);
-                        let frame = std::mem::replace(&mut conn.carry, rest);
-                        match self.begin_request(conn, frame) {
-                            Verdict::Close => return Verdict::Close,
-                            Verdict::Keep => continue,
-                        }
-                    } else if oversize || (conn.eof && !conn.carry.is_empty()) {
-                        // Transport cap hit, or EOF mid-request: hand the
-                        // partial frame to the parser (it answers 400/413)
-                        // and close after the response.
-                        let frame = std::mem::take(&mut conn.carry);
-                        let forced = self.begin_request_inline(conn, frame, false);
-                        match forced {
-                            Verdict::Close => return Verdict::Close,
-                            Verdict::Keep => continue,
-                        }
-                    } else if conn.eof {
+            step = match step {
+                Step::Serve(frame) => {
+                    self.arm(entry, None);
+                    if self.serve(entry, &frame) == Verdict::Close {
                         return Verdict::Close;
-                    } else if conn.carry.is_empty() {
-                        // Between requests: the (shorter) idle deadline
-                        // bounds the gap until the next first byte.
-                        conn.state = ConnState::KeepAliveIdle;
-                        conn.request_armed = false;
-                        self.arm(conn, self.config.idle_deadline);
-                        return self.want(conn, sys::EPOLLIN);
-                    } else {
-                        conn.state = if headers_complete(&conn.carry) {
-                            ConnState::ReadBody
-                        } else {
-                            ConnState::ReadHeaders
-                        };
-                        if !conn.request_armed {
-                            // A pipelined partial rode in behind the previous
-                            // response: its whole-request clock starts now —
-                            // and is never reset by later reads.
-                            conn.request_armed = true;
-                            self.arm(conn, self.config.request_deadline);
-                        }
-                        return self.want(conn, sys::EPOLLIN);
                     }
+                    entry.conn.step()
                 }
-            }
+                Step::Write => match self.write_some(entry) {
+                    Some(ends_pump) => ends_pump,
+                    None => entry.conn.step(),
+                },
+                Step::Wait { read, write, arm } => {
+                    if arm.is_some() {
+                        self.arm(entry, arm);
+                    }
+                    let mut events = 0;
+                    if read {
+                        events |= sys::EPOLLIN;
+                    }
+                    if write {
+                        events |= sys::EPOLLOUT;
+                    }
+                    return self.want(entry, events);
+                }
+                Step::Close => return Verdict::Close,
+            };
         }
     }
 
     /// Serves one framed request: consults the fault injector, then either
     /// dispatches to the worker pool (CGI / blocking faults) or handles it
-    /// inline on the shard.
-    fn begin_request(&mut self, conn: &mut Conn, frame: Vec<u8>) -> Verdict {
+    /// inline on the shard (the common path).
+    fn serve(&mut self, entry: &mut Entry, frame: &[u8]) -> Verdict {
         let fault = self
             .injector
             .as_deref()
@@ -983,134 +844,60 @@ impl Shard {
             Some(Fault::Latency(ms) | Fault::Hang(ms)) => ms,
             _ => 0,
         };
-        conn.served += 1;
-        let allow_keep =
-            conn.served < self.config.max_requests_per_conn && wants_keep_alive(&frame);
-        let heavy = latency_ms > 0 || targets_cgi(&frame);
-        if heavy && self.config.workers > 0 {
-            // CGI and blocking faults go to the worker pool; the shard
-            // stays free to serve other connections meanwhile.
-            conn.state = ConnState::Dispatched;
-            // Server-side work is not client-controlled: the request
-            // deadline stops at dispatch.
-            self.disarm(conn);
-            conn.request_armed = false;
+        let admitted = self.server.admit(frame, &entry.peer_ip);
+        // The routing decision is the server's own: the path it parsed,
+        // decoded and normalised, looked up in the tree it serves from.
+        let heavy = latency_ms > 0
+            || admitted
+                .as_ref()
+                .is_ok_and(|request| self.server.runs_cgi(request));
+        if heavy {
             let job = Job {
                 shard: self.id,
-                slot: conn.slot,
-                conn_id: conn.conn_id,
-                frame,
-                peer_ip: conn.peer_ip.clone(),
+                slot: entry.slot,
+                conn_id: entry.conn_id,
+                admitted,
                 latency_ms,
-                allow_keep,
             };
             if self.job_tx.send(job).is_err() {
                 return Verdict::Close; // workers are gone: shutting down
             }
-            return self.want(conn, 0);
-        }
-        if latency_ms > 0 {
-            // No worker pool configured: block inline like the pool front.
-            std::thread::sleep(Duration::from_millis(latency_ms));
-        }
-        self.begin_request_inline(conn, frame, allow_keep)
-    }
-
-    /// Inline request service on the shard thread (the common path).
-    fn begin_request_inline(
-        &mut self,
-        conn: &mut Conn,
-        frame: Vec<u8>,
-        allow_keep: bool,
-    ) -> Verdict {
-        let response = self.server.handle_bytes(&frame, &conn.peer_ip);
-        let keep = allow_keep
-            && !matches!(
-                response.status,
-                StatusCode::BadRequest | StatusCode::PayloadTooLarge
-            );
-        conn.out = response.to_wire(keep);
-        conn.written = 0;
-        conn.keep_after_write = keep;
-        conn.request_armed = false;
-        self.disarm(conn);
-        conn.state = ConnState::Respond;
-        Verdict::Keep
-    }
-
-    /// Writes as much of `out` as the socket accepts. Leaves the state at
-    /// `Respond` when the buffer emptied, `WriteBackpressure` (with
-    /// `EPOLLOUT` armed and a write deadline) when the socket filled.
-    fn write_some(&mut self, conn: &mut Conn) -> Verdict {
-        while conn.written < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.written..]) {
-                Ok(0) => return Verdict::Close,
-                Ok(n) => conn.written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if conn.state == ConnState::Drain {
-                        // Stay draining; the drain deadline bounds the
-                        // stalled flush instead of the write deadline.
-                        return self.want(conn, sys::EPOLLIN | sys::EPOLLOUT);
-                    }
-                    conn.state = ConnState::WriteBackpressure;
-                    self.arm(conn, self.config.write_deadline);
-                    return self.want(conn, sys::EPOLLOUT);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Verdict::Close,
-            }
-        }
-        conn.out.clear();
-        conn.written = 0;
-        if conn.state == ConnState::Drain {
             return Verdict::Keep;
         }
-        conn.state = ConnState::Respond; // "fully written" marker for pump
+        entry.conn.respond(&self.server.answer(admitted));
         Verdict::Keep
     }
 
-    /// `Drain` tail: discard inbound bytes until EOF (or the drain
-    /// deadline fires) so closing cannot reset out the shed response.
-    fn drain_some(&mut self, conn: &mut Conn) -> Verdict {
-        // Finish flushing the 503 if backpressure interrupted it.
-        if conn.written < conn.out.len() && self.write_some(conn) == Verdict::Close {
-            return Verdict::Close;
-        }
-        let mut sink = [0u8; 4096];
+    /// Writes the machine's pending bytes. `None` when they are flushed;
+    /// otherwise the step that ends this pump — the wait the machine asks
+    /// for when the socket fills, or a close.
+    fn write_some(&mut self, entry: &mut Entry) -> Option<Step> {
         loop {
-            match conn.stream.read(&mut sink) {
-                Ok(0) => return Verdict::Close, // client saw the response
-                Ok(_) => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Verdict::Keep,
-                Err(_) => return Verdict::Close,
+            let pending = entry.conn.pending();
+            if pending.is_empty() {
+                return None;
             }
-        }
-    }
-
-    /// Moves a freshly-shed connection into `Drain` with its short
-    /// deadline, or closes it if the response is already refused.
-    fn park_draining(&mut self, mut conn: Conn) {
-        conn.state = ConnState::Drain;
-        self.arm(&mut conn, DRAIN_DEADLINE);
-        if self.want(&mut conn, sys::EPOLLIN) == Verdict::Close {
-            self.discard(conn);
-            return;
-        }
-        match self.drain_some(&mut conn) {
-            Verdict::Keep => self.park(conn),
-            Verdict::Close => self.discard(conn),
+            match entry.stream.write(pending) {
+                Ok(0) => return Some(Step::Close),
+                Ok(n) => entry.conn.wrote(n),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    return Some(entry.conn.write_blocked())
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return Some(Step::Close),
+            }
         }
     }
 
     /// Updates the connection's epoll interest mask if it changed.
-    fn want(&mut self, conn: &mut Conn, events: u32) -> Verdict {
-        if conn.interest == events {
+    fn want(&mut self, entry: &mut Entry, events: u32) -> Verdict {
+        if entry.interest == events {
             return Verdict::Keep;
         }
-        conn.interest = events;
+        entry.interest = events;
         match self
             .epoll
-            .modify(conn.stream.as_raw_fd(), events, conn.slot as u64)
+            .modify(entry.stream.as_raw_fd(), events, entry.slot as u64)
         {
             Ok(()) => Verdict::Keep,
             Err(_) => Verdict::Close,
@@ -1138,30 +925,14 @@ impl Shard {
     }
 }
 
-/// True when the buffered head already contains the `\r\n\r\n` terminator.
-fn headers_complete(carry: &[u8]) -> bool {
-    carry.windows(4).any(|w| w == b"\r\n\r\n")
-}
-
-/// True when the request line targets the CGI tree — those requests run on
-/// the worker pool instead of the reactor shard.
-fn targets_cgi(frame: &[u8]) -> bool {
-    let line_end = frame
-        .windows(2)
-        .position(|w| w == b"\r\n")
-        .unwrap_or(frame.len());
-    let line = &frame[..line_end];
-    let mut parts = line.split(|&b| b == b' ').filter(|p| !p.is_empty());
-    let _method = parts.next();
-    matches!(parts.next(), Some(path) if path.starts_with(b"/cgi-bin/"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cgi::{CgiBehavior, CgiScript};
+    use crate::conn::read_frame;
     use crate::server::AccessControl;
-    use crate::tcp::send_raw;
     use crate::vfs::Vfs;
+    use std::net::{IpAddr, Ipv4Addr};
 
     fn open_server() -> Arc<Server> {
         Arc::new(Server::new(Vfs::default_site(), AccessControl::Open))
@@ -1171,19 +942,12 @@ mod tests {
         ReactorFront::spawn("127.0.0.1:0", open_server()).unwrap()
     }
 
-    /// Reads one response (headers + content-length body) off a persistent
-    /// connection, carrying pipelined surplus over in `carry`.
+    /// Reads one response off a persistent connection, carrying pipelined
+    /// surplus over in `carry`.
     fn read_one_response(stream: &mut TcpStream, carry: &mut Vec<u8>) -> Vec<u8> {
-        let mut chunk = [0u8; 2048];
-        loop {
-            if let Some(len) = frame_len(carry) {
-                let rest = carry.split_off(len);
-                return std::mem::replace(carry, rest);
-            }
-            let n = stream.read(&mut chunk).unwrap();
-            assert!(n > 0, "connection closed mid-response");
-            carry.extend_from_slice(&chunk[..n]);
-        }
+        read_frame(stream, carry)
+            .unwrap()
+            .expect("connection closed mid-response")
     }
 
     #[test]
@@ -1430,6 +1194,80 @@ mod tests {
             "stop must join shards and workers promptly, took {:?}",
             started.elapsed()
         );
+    }
+
+    #[test]
+    fn stopping_a_wildcard_bound_front_is_prompt() {
+        let front = ReactorFront::spawn("0.0.0.0:0", open_server()).unwrap();
+        // Sanity: it serves (via loopback — 0.0.0.0 is not a destination).
+        let addr = SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), front.addr().port());
+        let response = send_raw(addr, b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        assert!(String::from_utf8_lossy(&response).starts_with("HTTP/1.1 200"));
+        let started = Instant::now();
+        front.stop();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "stop() must not depend on connecting to the bound address; took {:?}",
+            started.elapsed()
+        );
+    }
+
+    /// The worker-pool dispatch decision is the server's routing decision:
+    /// a CGI target that is percent-encoded, reached through dot segments,
+    /// or mounted outside `/cgi-bin/` must not run on the shard thread.
+    /// One shard and one worker make both halves observable: while the
+    /// only worker is busy with the slow script, a static GET is still
+    /// answered — so the script is *not* on the shard (it would stall the
+    /// GET) and the GET is *not* on the worker pool (it would queue).
+    #[test]
+    fn cgi_dispatch_follows_the_servers_routing_not_the_raw_target() {
+        let slow = CgiScript {
+            name: "slow".into(),
+            behavior: CgiBehavior::Compute {
+                base_cost: 0,
+                per_byte: 10_000_000,
+                mem_per_byte: 0,
+            },
+        };
+        let mut vfs = Vfs::default_site();
+        vfs.add_cgi("/cgi-bin/slow", slow.clone());
+        vfs.add_cgi("/tools/slow", slow);
+        let server = Arc::new(Server::new(vfs, AccessControl::Open));
+        // Size the query so the script runs ~400 ms on this build profile.
+        let probe = Instant::now();
+        server.handle(HttpRequest::get("/tools/slow?x"));
+        let per_byte = probe.elapsed().max(Duration::from_micros(1));
+        let bytes = (Duration::from_millis(400).as_micros() / per_byte.as_micros().max(1))
+            .clamp(1, 4000) as usize;
+        let query = "x".repeat(bytes);
+
+        let config = ReactorConfig {
+            shards: 1,
+            workers: 1,
+            ..ReactorConfig::default()
+        };
+        let front = ReactorFront::spawn_with("127.0.0.1:0", server, config, None).unwrap();
+        let addr = front.addr();
+        for target in ["/%63gi-bin/slow", "/docs/../cgi-bin/slow", "/tools/slow"] {
+            let raw = format!("GET {target}?{query} HTTP/1.1\r\nHost: t\r\n\r\n");
+            let script = std::thread::spawn(move || {
+                let response = send_raw(addr, raw.as_bytes()).unwrap();
+                (response, Instant::now())
+            });
+            std::thread::sleep(Duration::from_millis(50)); // script is running
+            let page = send_raw(addr, b"GET /index.html HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+            let page_done = Instant::now();
+            let (response, script_done) = script.join().unwrap();
+            assert!(String::from_utf8_lossy(&page).starts_with("HTTP/1.1 200"));
+            let text = String::from_utf8_lossy(&response);
+            assert!(text.starts_with("HTTP/1.1 200"), "{target}: {text}");
+            assert!(text.contains("computed over"), "{target}: {text}");
+            assert!(
+                page_done < script_done,
+                "{target}: the static GET waited for the script — it ran on the shard"
+            );
+        }
+        front.stop();
     }
 
     #[test]

@@ -397,27 +397,46 @@ impl Server {
     /// Full pipeline from raw bytes: parse, then [`handle`](Server::handle).
     /// Parse failures answer 400 and are reported to the IDS bus.
     pub fn handle_bytes(&self, raw: &[u8], client_ip: &str) -> HttpResponse {
+        self.answer(self.admit(raw, client_ip))
+    }
+
+    /// The second half of [`handle_bytes`](Server::handle_bytes): handles
+    /// an admitted request, passes a refusal through.
+    pub(crate) fn answer(&self, admitted: Result<HttpRequest, HttpResponse>) -> HttpResponse {
+        match admitted {
+            Ok(request) => self.handle(request),
+            Err(refusal) => refusal,
+        }
+    }
+
+    /// The first half of [`handle_bytes`](Server::handle_bytes): the parsed
+    /// request to [`handle`](Server::handle), or the answer already decided
+    /// (firewall refusal, or the parser's 400/413, reported to the IDS bus).
+    pub(crate) fn admit(&self, raw: &[u8], client_ip: &str) -> Result<HttpRequest, HttpResponse> {
         if let Some(refused) = self.firewall_gate(client_ip) {
             self.stats.requests.fetch_add(1, Ordering::Relaxed);
             self.stats.bump_for(refused.status);
-            return refused;
+            return Err(refused);
         }
-        match HttpRequest::parse_with_limits(raw, client_ip, &self.limits) {
-            Ok(request) => self.handle(request),
-            Err(error) => {
-                self.stats.requests.fetch_add(1, Ordering::Relaxed);
-                self.report_ill_formed(client_ip, &error);
-                let status = match error {
-                    ParseRequestError::BodyTooLarge(_)
-                    | ParseRequestError::RequestLineTooLong(_)
-                    | ParseRequestError::HeaderLineTooLong(_) => StatusCode::PayloadTooLarge,
-                    _ => StatusCode::BadRequest,
-                };
-                let response = HttpResponse::with_status(status);
-                self.stats.bump_for(status);
-                response
-            }
-        }
+        HttpRequest::parse_with_limits(raw, client_ip, &self.limits).map_err(|error| {
+            self.stats.requests.fetch_add(1, Ordering::Relaxed);
+            self.report_ill_formed(client_ip, &error);
+            let status = match error {
+                ParseRequestError::BodyTooLarge(_)
+                | ParseRequestError::RequestLineTooLong(_)
+                | ParseRequestError::HeaderLineTooLong(_) => StatusCode::PayloadTooLarge,
+                _ => StatusCode::BadRequest,
+            };
+            self.stats.bump_for(status);
+            HttpResponse::with_status(status)
+        })
+    }
+
+    /// Whether serving `request` executes a CGI script — the routing fact
+    /// [`handle`](Server::handle) acts on, exposed so the front can run
+    /// scripts off its event loop.
+    pub(crate) fn runs_cgi(&self, request: &HttpRequest) -> bool {
+        self.vfs.is_cgi(&request.path)
     }
 
     /// Handles a parsed request.
@@ -465,7 +484,7 @@ impl Server {
         // Authentication (§4 AuthType Basic): resolve credentials first so
         // every access-control mechanism sees the same identity facts.
         let credentials = request.header("authorization").and_then(parse_basic_auth);
-        let is_cgi = self.vfs.is_cgi(&request.path);
+        let is_cgi = self.runs_cgi(request);
 
         match &self.access {
             AccessControl::Open => {

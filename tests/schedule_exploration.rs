@@ -8,33 +8,32 @@ use gaa_race::{Exec, Explorer};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Satellite: the pool-saturation 503 + `Component::Frontend`
-/// degradation/recovery transitions, replayed under the deterministic
+/// The reactor's worker handoff (`reactor_dispatch`, see
+/// `gaa_bench::race_scenarios`), replayed under the deterministic
 /// scheduler across three preemption bounds plus a seeded random batch.
 ///
-/// The scenario (see `gaa_bench::race_scenarios`) saturates a CAP=1 accept
-/// queue with 3 connections against 2 workers, so the explored schedules
-/// include shutdown while the queue is still full (the producer stores
-/// `stop` right after its last push; whether a worker drained first is a
-/// scheduling decision). Invariants: served + rejected equals offered
-/// connections (no lost 503 accounting), the queue is empty after join
-/// (clean shutdown, no leaked connection), and the degradation registry
-/// agrees with the accept loop's final transition.
+/// Two workers complete three dispatched jobs into the shard's mailbox
+/// and signal its coalescing wake pipe while the shard sleeps, wakes,
+/// clears the wake and drains — so the explored schedules include a
+/// completion landing between the drain and the next wait, and several
+/// completions riding one wake. Invariants: every completion is applied
+/// exactly once, the mailbox is empty after join, no job is left
+/// undispatched.
 #[test]
-fn pool_saturation_replays_across_preemption_bounds() {
+fn reactor_dispatch_replays_across_preemption_bounds() {
     const SEED: u64 = 0x5A7_0503;
     let scenarios = gaa_bench::race_scenarios::all_scenarios();
-    let pool = scenarios
+    let dispatch = scenarios
         .iter()
-        .find(|s| s.name == "pool_saturation")
-        .expect("pool_saturation scenario registered");
-    println!("pool_saturation replay: seed {SEED:#x}, bounds 0..=2 + random batch");
+        .find(|s| s.name == "reactor_dispatch")
+        .expect("reactor_dispatch scenario registered");
+    println!("reactor_dispatch replay: seed {SEED:#x}, bounds 0..=2 + random batch");
     let mut explored = 0u64;
     for (label, report) in
-        gaa_bench::race_scenarios::explore_scenario(pool, SEED, &[0, 1, 2], 128, 10_000)
+        gaa_bench::race_scenarios::explore_scenario(dispatch, SEED, &[0, 1, 2], 128, 10_000)
     {
         println!("  {label}: {}", report.summary());
-        report.assert_clean(&format!("pool_saturation {label}"));
+        report.assert_clean(&format!("reactor_dispatch {label}"));
         assert!(report.schedules > 0, "{label} explored nothing");
         explored += report.schedules as u64;
     }

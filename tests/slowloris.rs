@@ -1,21 +1,18 @@
-//! Slowloris differential: the same attack against the worker-pool front
-//! and the epoll reactor front, over real loopback sockets.
+//! Slowloris over real loopback sockets against the serving front.
 //!
 //! The attack is a handful of connections each dribbling one byte of a
-//! never-completing request every ~100 ms. Per-read timeouts reset on
-//! every delivered byte, so before the whole-request deadline existed the
-//! pool's workers were pinned *forever*. The differential claims:
+//! never-completing request every ~100 ms. A front that bounds each
+//! `read` with a timeout is pinned *forever* by it (every delivered byte
+//! resets the timeout) and a thread-per-connection front runs out of
+//! threads; the reactor holds each attacker as a parked connection struct
+//! under one whole-request deadline. The claims:
 //!
-//! * **pool** — with more dribblers than workers, legitimate requests
-//!   degrade while the attack holds the workers; once the whole-request
-//!   deadline cuts the dribblers, service recovers (the deadline fix,
-//!   observed end to end);
-//! * **reactor** — the same attack is just a few parked connection
-//!   structs: every legitimate request keeps succeeding, with per-request
-//!   latency bounded well below the attack's lifetime.
+//! * every legitimate request keeps succeeding while the attack is live,
+//!   with per-request latency bounded well below the attack's lifetime;
+//! * every dribbler is cut at the whole-request deadline no matter how
+//!   faithfully it trickles bytes.
 
 use gaa::httpd::reactor::{ReactorConfig, ReactorFront};
-use gaa::httpd::tcp::{PoolConfig, TcpFront};
 use gaa::httpd::{AccessControl, Server, Vfs};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -71,66 +68,7 @@ fn timed_get(addr: SocketAddr, path: &str, deadline: Duration) -> Option<Duratio
 const DRIBBLERS: usize = 8;
 
 #[test]
-fn reactor_keeps_serving_while_the_pool_degrades_then_recovers() {
-    // -- Pool: two workers, eight dribblers, 2 s whole-request deadline. --
-    let pool = TcpFront::spawn_pool(
-        "127.0.0.1:0",
-        open_server(),
-        PoolConfig {
-            workers: 2,
-            queue_depth: 64,
-            read_timeout: Duration::from_secs(2),
-            request_deadline: Duration::from_secs(2),
-            ..PoolConfig::default()
-        },
-        None,
-    )
-    .unwrap();
-    let pool_addr = pool.addr();
-
-    // Healthy before the attack.
-    assert!(
-        timed_get(pool_addr, "/index.html", Duration::from_millis(500)).is_some(),
-        "pool must serve before the attack"
-    );
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let dribbler = spawn_dribblers(pool_addr, DRIBBLERS, Arc::clone(&stop));
-    // Let the dribblers pin both workers and fill the queue behind them.
-    std::thread::sleep(Duration::from_millis(300));
-
-    // While the attack is young, legitimate requests sit in the accept
-    // queue behind six more dribblers — a tight client deadline fails.
-    let degraded = (0..4)
-        .filter(|_| timed_get(pool_addr, "/index.html", Duration::from_millis(300)).is_none())
-        .count();
-    assert!(
-        degraded > 0,
-        "pool with {DRIBBLERS} dribblers on 2 workers should degrade legitimate service"
-    );
-
-    // The whole-request deadline is the recovery path: each dribbler is
-    // cut at 2 s no matter how faithfully it trickles bytes (before the
-    // deadline, the per-read timeout reset forever and this test hung).
-    let recovery_deadline = Instant::now() + Duration::from_secs(10);
-    let recovered = loop {
-        if timed_get(pool_addr, "/index.html", Duration::from_millis(500)).is_some() {
-            break true;
-        }
-        if Instant::now() > recovery_deadline {
-            break false;
-        }
-    };
-    assert!(
-        recovered,
-        "pool must recover once the whole-request deadline cuts the dribblers"
-    );
-
-    stop.store(true, Ordering::Relaxed);
-    dribbler.join().unwrap();
-    pool.stop();
-
-    // -- Reactor: same attack, same deadline — no degradation at all. --
+fn reactor_keeps_serving_under_slowloris_and_cuts_the_dribblers() {
     let reactor = ReactorFront::spawn_with(
         "127.0.0.1:0",
         open_server(),
@@ -143,6 +81,13 @@ fn reactor_keeps_serving_while_the_pool_degrades_then_recovers() {
     )
     .unwrap();
     let reactor_addr = reactor.addr();
+
+    // One dribbler of our own, to observe the cut from the client side.
+    let mut witness = TcpStream::connect(reactor_addr).unwrap();
+    let attack_started = Instant::now();
+    witness
+        .write_all(b"GET /never HTTP/1.1\r\nx-slow: ")
+        .unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
     let dribbler = spawn_dribblers(reactor_addr, DRIBBLERS, Arc::clone(&stop));
@@ -160,6 +105,37 @@ fn reactor_keeps_serving_while_the_pool_degrades_then_recovers() {
     assert!(
         worst < Duration::from_secs(1),
         "reactor worst-case legitimate latency under attack was {worst:?}"
+    );
+
+    // The whole-request deadline cuts the witness at ~2 s even though it
+    // keeps delivering a byte every 100 ms (a per-read timeout would
+    // reset on each and never fire).
+    witness
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut buf = [0u8; 64];
+    let cut = loop {
+        if witness.write_all(b"a").is_err() {
+            break true;
+        }
+        match std::io::Read::read(&mut witness, &mut buf) {
+            Ok(_) => break true, // EOF (or a reply followed by EOF): cut
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => break true, // reset: also a cut
+        }
+        if attack_started.elapsed() > Duration::from_secs(8) {
+            break false;
+        }
+    };
+    let elapsed = attack_started.elapsed();
+    assert!(
+        cut && elapsed >= Duration::from_millis(1900),
+        "dribbler must be cut at the 2 s whole-request deadline, not before and \
+         not never; cut={cut} after {elapsed:?}"
     );
 
     stop.store(true, Ordering::Relaxed);

@@ -7,8 +7,8 @@ use gaa::conditions::{register_standard, StandardServices};
 use gaa::core::{GaaApiBuilder, MemoryPolicyStore};
 use gaa::eacl::parse_eacl;
 use gaa::httpd::auth::{base64_encode, HtpasswdStore};
-use gaa::httpd::tcp::{send_raw, TcpFront};
-use gaa::httpd::{AccessControl, GaaGlue, Server, Vfs};
+use gaa::httpd::reactor::send_raw;
+use gaa::httpd::{AccessControl, GaaGlue, ReactorFront, Server, Vfs};
 use std::sync::Arc;
 
 const POLICY: &str = "\
@@ -23,7 +23,7 @@ pos_access_right apache HEAD
 neg_access_right apache *
 ";
 
-fn spawn() -> (TcpFront, StandardServices) {
+fn spawn() -> (ReactorFront, StandardServices) {
     let services = StandardServices::new(
         Arc::new(SystemClock::new()),
         Arc::new(CollectingNotifier::new()),
@@ -38,7 +38,10 @@ fn spawn() -> (TcpFront, StandardServices) {
         Server::new(Vfs::default_site(), AccessControl::Gaa(Box::new(glue)))
             .with_users(Arc::new(users)),
     );
-    (TcpFront::spawn("127.0.0.1:0", server).unwrap(), services)
+    (
+        ReactorFront::spawn("127.0.0.1:0", server).unwrap(),
+        services,
+    )
 }
 
 fn status_line(response: &[u8]) -> String {
@@ -133,7 +136,7 @@ fn basic_auth_works_over_sockets() {
         Server::new(Vfs::default_site(), AccessControl::Gaa(Box::new(glue)))
             .with_users(Arc::new(users)),
     );
-    let front = TcpFront::spawn("127.0.0.1:0", server).unwrap();
+    let front = ReactorFront::spawn("127.0.0.1:0", server).unwrap();
 
     // Anonymous: 401 challenge.
     let response = send_raw(front.addr(), b"GET /index.html HTTP/1.1\r\n\r\n").unwrap();
