@@ -44,6 +44,7 @@ use gaa_ids::{AttackSignature, SignatureDb, SignatureMatch};
 use gaa_race::sync::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Per-pattern placement decided at compile time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -473,6 +474,9 @@ impl MergedNfa {
 /// ```
 pub struct CombinedMatcher {
     patterns: Vec<String>,
+    /// Pattern source → its first index in `patterns`, shared with every
+    /// [`PatternOracle`] computed over this matcher.
+    index: Arc<HashMap<String, usize>>,
     tiers: Vec<Tier>,
     /// Folded literal for `Exact` patterns, indexed like `patterns`.
     exact: Vec<Option<String>>,
@@ -556,8 +560,13 @@ impl CombinedMatcher {
         } else {
             Some(MergedNfa::build(patterns.len(), &regexes))
         };
+        let mut index = HashMap::with_capacity(patterns.len());
+        for (idx, pattern) in patterns.iter().enumerate() {
+            index.entry(pattern.clone()).or_insert(idx);
+        }
         CombinedMatcher {
             patterns: patterns.to_vec(),
+            index: Arc::new(index),
             tiers,
             exact,
             ac,
@@ -732,8 +741,8 @@ impl CompiledSignatureDb {
 
 // ---- the per-request pattern oracle ----
 
-/// One combined pass's verdicts, keyed by pattern source, for a single
-/// request text.
+/// One combined pass's verdicts for a single request text, addressed by
+/// pattern index through the matcher's pattern → index map.
 ///
 /// The condition-evaluator registry has a fixed signature (`value`, `env`)
 /// with no room for per-request scratch state, and the decision cache keys
@@ -743,24 +752,30 @@ impl CompiledSignatureDb {
 /// [`crate::regex::signature_matches`] reads per-pattern verdicts from it.
 /// Any pattern (or any text) the oracle does not cover falls back to the
 /// per-pattern path — fail-safe by construction.
+///
+/// Computing one copies no pattern: it keeps the pass's [`MatchSet`] and
+/// shares the index map [`CombinedMatcher::compile`] built, so its cost does
+/// not grow with the size of the pattern set.
 pub struct PatternOracle {
     text: String,
-    verdicts: HashMap<String, bool>,
+    hits: MatchSet,
+    index: Arc<HashMap<String, usize>>,
 }
 
 impl PatternOracle {
     /// Runs one combined pass of `matcher` over `text` and captures every
     /// pattern's verdict.
     pub fn compute(matcher: &CombinedMatcher, text: &str) -> PatternOracle {
-        let hits = matcher.match_set(text);
-        let mut verdicts = HashMap::with_capacity(matcher.len());
-        for (idx, pattern) in matcher.patterns().iter().enumerate() {
-            verdicts.insert(pattern.clone(), hits.matched(idx));
-        }
         PatternOracle {
             text: text.to_string(),
-            verdicts,
+            hits: matcher.match_set(text),
+            index: matcher.index.clone(),
         }
+    }
+
+    /// The verdict for `pattern`, if the matcher compiled it.
+    fn verdict(&self, pattern: &str) -> Option<bool> {
+        self.index.get(pattern).map(|&idx| self.hits.matched(idx))
     }
 
     /// The request text the verdicts were computed for.
@@ -770,12 +785,12 @@ impl PatternOracle {
 
     /// Number of patterns covered.
     pub fn len(&self) -> usize {
-        self.verdicts.len()
+        self.index.len()
     }
 
     /// True when the oracle covers no patterns.
     pub fn is_empty(&self) -> bool {
-        self.verdicts.is_empty()
+        self.index.is_empty()
     }
 }
 
@@ -816,7 +831,7 @@ pub(crate) fn oracle_verdict(pattern: &str, text: &str) -> Option<bool> {
         if oracle.text != text {
             return None;
         }
-        oracle.verdicts.get(pattern).copied()
+        oracle.verdict(pattern)
     })
 }
 

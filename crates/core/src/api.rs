@@ -328,6 +328,10 @@ impl GaaApi {
     /// places them first, appends the object's local policies and records
     /// the composition mode (§6 step 2a, §2.1).
     ///
+    /// The store is consulted on every call; the composition shares the
+    /// lists it hands out, so over a store that holds its lists this costs
+    /// two reference-count bumps, not a copy of the policy.
+    ///
     /// # Errors
     ///
     /// Propagates [`PolicyError`] from the store. Callers must fail closed:

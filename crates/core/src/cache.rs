@@ -95,13 +95,17 @@ struct Counters {
 
 /// One shard: the entry map plus first-insertion order for FIFO eviction.
 ///
+/// Each key is stored once, as an `Arc<str>` shared by the map and the FIFO
+/// queue: the cache's memory grows with the number of distinct keys, not
+/// twice that.
+///
 /// `order` may briefly hold keys whose entries were dropped by a
 /// stamp-change flush; [`Shard::insert_bounded`] skips such ghosts when
 /// evicting, and [`Shard::clear`] drops both structures together.
 #[derive(Debug, Default)]
 struct Shard {
-    entries: HashMap<String, (CacheStamp, GaaStatus)>,
-    order: VecDeque<String>,
+    entries: HashMap<Arc<str>, (CacheStamp, GaaStatus)>,
+    order: VecDeque<Arc<str>>,
 }
 
 impl Shard {
@@ -113,11 +117,14 @@ impl Shard {
         value: (CacheStamp, GaaStatus),
         capacity: usize,
     ) -> u64 {
-        if self.entries.insert(key.to_string(), value).is_some() {
+        if let Some(slot) = self.entries.get_mut(key) {
             // Update in place: size unchanged, FIFO position kept.
+            *slot = value;
             return 0;
         }
-        self.order.push_back(key.to_string());
+        let key: Arc<str> = Arc::from(key);
+        self.entries.insert(key.clone(), value);
+        self.order.push_back(key.clone());
         let mut evicted = 0;
         while self.entries.len() > capacity {
             match self.order.pop_front() {

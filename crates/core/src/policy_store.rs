@@ -15,6 +15,12 @@
 //! [`CachingPolicyStore`] implements the §9 future-work item "support for
 //! caching of the retrieved and translated policies for later reuse by
 //! subsequent requests" (ablation A1 in DESIGN.md).
+//!
+//! Stores hand out policy lists as shared immutable `Arc<[Eacl]>`s. A store
+//! that holds its lists (memory, cache, last-good copies) answers with a
+//! reference-count bump, so composing a request's policy copies nothing;
+//! the caller still consults the store on every request, so reloads, fault
+//! injection and stale-serving see exactly the calls they always did.
 
 use gaa_audit::degrade::{Component, DegradationState};
 use gaa_audit::log::{AuditLog, AuditRecord, AuditSeverity};
@@ -95,7 +101,7 @@ pub trait PolicyStore: Send + Sync {
     ///
     /// Returns [`PolicyError`] if retrieval or translation fails; the caller
     /// must treat this as *deny* (fail-closed), never as "no policy".
-    fn system_policies(&self) -> Result<Vec<Eacl>, PolicyError>;
+    fn system_policies(&self) -> Result<Arc<[Eacl]>, PolicyError>;
 
     /// The local EACLs applying to `object`, outermost directory first.
     ///
@@ -103,7 +109,7 @@ pub trait PolicyStore: Send + Sync {
     ///
     /// Returns [`PolicyError`] on retrieval/translation failure (fail-closed
     /// for the object in question).
-    fn local_policies(&self, object: &str) -> Result<Vec<Eacl>, PolicyError>;
+    fn local_policies(&self, object: &str) -> Result<Arc<[Eacl]>, PolicyError>;
 
     /// A monotonically increasing generation number, bumped whenever any
     /// policy may have changed. Used by [`CachingPolicyStore`] for
@@ -115,10 +121,14 @@ pub trait PolicyStore: Send + Sync {
 }
 
 /// In-memory policy store for tests and embedded use.
+///
+/// Every read returns the stored list itself, shared: the system list is one
+/// allocation handed to every object until [`set_system`](Self::set_system)
+/// replaces it.
 #[derive(Debug, Default)]
 pub struct MemoryPolicyStore {
-    system: Vec<Eacl>,
-    local: HashMap<String, Vec<Eacl>>,
+    system: Arc<[Eacl]>,
+    local: HashMap<String, Arc<[Eacl]>>,
     generation: AtomicU64,
 }
 
@@ -130,23 +140,23 @@ impl MemoryPolicyStore {
 
     /// Replaces the system-wide policy list.
     pub fn set_system(&mut self, eacls: Vec<Eacl>) {
-        self.system = eacls;
+        self.system = eacls.into();
         self.generation.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Replaces the local policy list for an exact object name.
     pub fn set_local(&mut self, object: impl Into<String>, eacls: Vec<Eacl>) {
-        self.local.insert(object.into(), eacls);
+        self.local.insert(object.into(), eacls.into());
         self.generation.fetch_add(1, Ordering::SeqCst);
     }
 }
 
 impl PolicyStore for MemoryPolicyStore {
-    fn system_policies(&self) -> Result<Vec<Eacl>, PolicyError> {
+    fn system_policies(&self) -> Result<Arc<[Eacl]>, PolicyError> {
         Ok(self.system.clone())
     }
 
-    fn local_policies(&self, object: &str) -> Result<Vec<Eacl>, PolicyError> {
+    fn local_policies(&self, object: &str) -> Result<Arc<[Eacl]>, PolicyError> {
         Ok(self.local.get(object).cloned().unwrap_or_default())
     }
 
@@ -228,16 +238,16 @@ impl Default for FilePolicyStore {
 }
 
 impl PolicyStore for FilePolicyStore {
-    fn system_policies(&self) -> Result<Vec<Eacl>, PolicyError> {
+    fn system_policies(&self) -> Result<Arc<[Eacl]>, PolicyError> {
         match &self.system_file {
-            Some(path) if path.exists() => Self::read_policy_file(path),
-            _ => Ok(Vec::new()),
+            Some(path) if path.exists() => Ok(Self::read_policy_file(path)?.into()),
+            _ => Ok(Arc::default()),
         }
     }
 
-    fn local_policies(&self, object: &str) -> Result<Vec<Eacl>, PolicyError> {
+    fn local_policies(&self, object: &str) -> Result<Arc<[Eacl]>, PolicyError> {
         let Some(root) = &self.local_root else {
-            return Ok(Vec::new());
+            return Ok(Arc::default());
         };
         let mut eacls = Vec::new();
         // Walk the object's directory chain from the root downwards. The
@@ -259,7 +269,7 @@ impl PolicyStore for FilePolicyStore {
                 }
             }
         }
-        Ok(eacls)
+        Ok(eacls.into())
     }
 
     fn generation(&self) -> u64 {
@@ -280,13 +290,14 @@ pub struct CacheStats {
 
 struct CacheState {
     generation: u64,
-    system: Option<Vec<Eacl>>,
-    local: HashMap<String, Vec<Eacl>>,
+    system: Option<Arc<[Eacl]>>,
+    local: HashMap<String, Arc<[Eacl]>>,
     stats: CacheStats,
 }
 
 /// Caches the results of an inner [`PolicyStore`] (§9 future work / ablation
 /// A1). Invalidates wholesale whenever the inner store's generation changes.
+/// A hit hands out the cached list itself: a reference-count bump.
 pub struct CachingPolicyStore<S> {
     inner: S,
     state: Mutex<CacheState>,
@@ -328,7 +339,7 @@ impl<S: PolicyStore> CachingPolicyStore<S> {
 }
 
 impl<S: PolicyStore> PolicyStore for CachingPolicyStore<S> {
-    fn system_policies(&self) -> Result<Vec<Eacl>, PolicyError> {
+    fn system_policies(&self) -> Result<Arc<[Eacl]>, PolicyError> {
         let mut state = self.state.lock();
         self.refresh_if_stale(&mut state);
         if let Some(cached) = state.system.clone() {
@@ -341,7 +352,7 @@ impl<S: PolicyStore> PolicyStore for CachingPolicyStore<S> {
         Ok(fresh)
     }
 
-    fn local_policies(&self, object: &str) -> Result<Vec<Eacl>, PolicyError> {
+    fn local_policies(&self, object: &str) -> Result<Arc<[Eacl]>, PolicyError> {
         let mut state = self.state.lock();
         self.refresh_if_stale(&mut state);
         if let Some(cached) = state.local.get(object).cloned() {
@@ -389,14 +400,14 @@ impl FaultingPolicyStore {
 }
 
 impl PolicyStore for FaultingPolicyStore {
-    fn system_policies(&self) -> Result<Vec<Eacl>, PolicyError> {
+    fn system_policies(&self) -> Result<Arc<[Eacl]>, PolicyError> {
         match self.injected_error() {
             Some(e) => Err(e),
             None => self.inner.system_policies(),
         }
     }
 
-    fn local_policies(&self, object: &str) -> Result<Vec<Eacl>, PolicyError> {
+    fn local_policies(&self, object: &str) -> Result<Arc<[Eacl]>, PolicyError> {
         match self.injected_error() {
             Some(e) => Err(e),
             None => self.inner.local_policies(object),
@@ -409,7 +420,7 @@ impl PolicyStore for FaultingPolicyStore {
 }
 
 struct LastGood {
-    eacls: Vec<Eacl>,
+    eacls: Arc<[Eacl]>,
     fetched: Timestamp,
 }
 
@@ -501,7 +512,7 @@ impl ResilientPolicyStore {
         now: Timestamp,
         error: PolicyError,
         stale_serves: &mut u64,
-    ) -> Result<Vec<Eacl>, PolicyError> {
+    ) -> Result<Arc<[Eacl]>, PolicyError> {
         let fresh_enough = entry
             .map(|lg| now.since(lg.fetched) <= self.stale_ttl)
             .unwrap_or(false);
@@ -531,7 +542,7 @@ impl ResilientPolicyStore {
 }
 
 impl PolicyStore for ResilientPolicyStore {
-    fn system_policies(&self) -> Result<Vec<Eacl>, PolicyError> {
+    fn system_policies(&self) -> Result<Arc<[Eacl]>, PolicyError> {
         let now = self.clock.now();
         match self.inner.system_policies() {
             Ok(eacls) => {
@@ -554,7 +565,7 @@ impl PolicyStore for ResilientPolicyStore {
         }
     }
 
-    fn local_policies(&self, object: &str) -> Result<Vec<Eacl>, PolicyError> {
+    fn local_policies(&self, object: &str) -> Result<Arc<[Eacl]>, PolicyError> {
         let now = self.clock.now();
         match self.inner.local_policies(object) {
             Ok(eacls) => {
@@ -662,7 +673,7 @@ impl GatedPolicyStore {
         self.rejections.load(Ordering::SeqCst)
     }
 
-    fn check(&self, source_name: &str, eacls: Vec<Eacl>) -> Result<Vec<Eacl>, PolicyError> {
+    fn check(&self, source_name: &str, eacls: Arc<[Eacl]>) -> Result<Arc<[Eacl]>, PolicyError> {
         let Err(reason) = (self.gate)(source_name, &eacls) else {
             return Ok(eacls);
         };
@@ -700,12 +711,12 @@ impl GatedPolicyStore {
 }
 
 impl PolicyStore for GatedPolicyStore {
-    fn system_policies(&self) -> Result<Vec<Eacl>, PolicyError> {
+    fn system_policies(&self) -> Result<Arc<[Eacl]>, PolicyError> {
         let eacls = self.inner.system_policies()?;
         self.check("system", eacls)
     }
 
-    fn local_policies(&self, object: &str) -> Result<Vec<Eacl>, PolicyError> {
+    fn local_policies(&self, object: &str) -> Result<Arc<[Eacl]>, PolicyError> {
         let eacls = self.inner.local_policies(object)?;
         self.check(object, eacls)
     }
@@ -822,6 +833,20 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.misses, 3); // system, /x, /y
         assert_eq!(stats.hits, 2);
+    }
+
+    #[test]
+    fn caching_store_hits_share_the_cached_list() {
+        let mut inner = MemoryPolicyStore::new();
+        inner.set_local("/x", vec![grant_eacl()]);
+        let store = CachingPolicyStore::new(inner);
+        let miss = store.local_policies("/x").unwrap();
+        let hit = store.local_policies("/x").unwrap();
+        assert!(Arc::ptr_eq(&miss, &hit));
+        assert!(Arc::ptr_eq(
+            &hit,
+            &store.inner().local_policies("/x").unwrap()
+        ));
     }
 
     #[test]

@@ -117,21 +117,22 @@ pub struct RegistryEval {
 /// Keyed store of condition evaluators.
 ///
 /// Lookup tries the exact `(type, authority)` pair first, then
-/// `(type, "*")` as a wildcard-authority fallback.
+/// `(type, "*")` as a wildcard-authority fallback. The map is nested by type
+/// then authority, so a lookup hashes the condition's own borrowed fields
+/// and allocates nothing.
 #[derive(Clone, Default)]
 pub struct ConditionRegistry {
-    evaluators: HashMap<(String, String), Arc<dyn ConditionEvaluator>>,
+    evaluators: HashMap<String, HashMap<String, Arc<dyn ConditionEvaluator>>>,
     injector: Option<Arc<dyn FaultInjector>>,
 }
 
 impl fmt::Debug for ConditionRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut keys: Vec<String> = self
-            .evaluators
-            .keys()
+        let keys: Vec<String> = self
+            .registered_keys()
+            .into_iter()
             .map(|(t, a)| format!("{t}/{a}"))
             .collect();
-        keys.sort();
         f.debug_struct("ConditionRegistry")
             .field("registered", &keys)
             .finish()
@@ -154,7 +155,9 @@ impl ConditionRegistry {
         evaluator: Arc<dyn ConditionEvaluator>,
     ) {
         self.evaluators
-            .insert((cond_type.into(), authority.into()), evaluator);
+            .entry(cond_type.into())
+            .or_default()
+            .insert(authority.into(), evaluator);
     }
 
     /// Consults `injector` at [`FaultSite::Evaluator`] before every routine
@@ -183,14 +186,18 @@ impl ConditionRegistry {
     /// consumes to predict which conditions will be left unevaluated
     /// (MAYBE) at request time.
     pub fn registered_keys(&self) -> Vec<(String, String)> {
-        let mut keys: Vec<(String, String)> = self.evaluators.keys().cloned().collect();
+        let mut keys: Vec<(String, String)> = self
+            .evaluators
+            .iter()
+            .flat_map(|(t, by_authority)| by_authority.keys().map(|a| (t.clone(), a.clone())))
+            .collect();
         keys.sort();
         keys
     }
 
     /// Number of registered routines.
     pub fn len(&self) -> usize {
-        self.evaluators.len()
+        self.evaluators.values().map(HashMap::len).sum()
     }
 
     /// True when no routines are registered.
@@ -199,12 +206,10 @@ impl ConditionRegistry {
     }
 
     fn lookup(&self, cond_type: &str, authority: &str) -> Option<&Arc<dyn ConditionEvaluator>> {
-        self.evaluators
-            .get(&(cond_type.to_string(), authority.to_string()))
-            .or_else(|| {
-                self.evaluators
-                    .get(&(cond_type.to_string(), "*".to_string()))
-            })
+        let by_authority = self.evaluators.get(cond_type)?;
+        by_authority
+            .get(authority)
+            .or_else(|| by_authority.get("*"))
     }
 
     /// Evaluates `condition` in `env`.
@@ -239,12 +244,11 @@ impl ConditionRegistry {
             Some(Fault::Hang(millis)) => Some(Duration::from_millis(millis)),
             _ => None,
         };
-        let value = condition.value.clone();
         let result = catch_unwind(AssertUnwindSafe(|| {
             if matches!(injected, Some(Fault::Panic)) {
                 panic!("injected evaluator panic");
             }
-            evaluator.evaluate(&value, env)
+            evaluator.evaluate(&condition.value, env)
         }));
         match result {
             Ok(decision) => RegistryEval {

@@ -22,6 +22,7 @@
 
 use crate::ast::{CompositionMode, Eacl};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which level a constituent EACL came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -38,11 +39,15 @@ pub enum PolicyLayer {
 ///
 /// Iteration order is evaluation order: all system EACLs first, then (unless
 /// the mode is [`Stop`](CompositionMode::Stop)) all local EACLs.
+///
+/// Both layers are immutable shared lists: cloning a composition, or
+/// composing from lists a policy store already holds, bumps two reference
+/// counts and copies no EACL.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ComposedPolicy {
     mode: CompositionMode,
-    system: Vec<Eacl>,
-    local: Vec<Eacl>,
+    system: Arc<[Eacl]>,
+    local: Arc<[Eacl]>,
 }
 
 impl ComposedPolicy {
@@ -70,14 +75,15 @@ impl ComposedPolicy {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn compose(system: Vec<Eacl>, local: Vec<Eacl>) -> Self {
+    pub fn compose(system: impl Into<Arc<[Eacl]>>, local: impl Into<Arc<[Eacl]>>) -> Self {
+        let system = system.into();
         let mode = system
             .iter()
             .find_map(|e| e.mode)
             .unwrap_or(CompositionMode::Narrow);
         let local = match mode {
-            CompositionMode::Stop => Vec::new(),
-            _ => local,
+            CompositionMode::Stop => Arc::default(),
+            _ => local.into(),
         };
         ComposedPolicy {
             mode,
@@ -89,11 +95,11 @@ impl ComposedPolicy {
     /// Builds a composed policy from local policies only (no system-wide
     /// policy retrieved). The mode defaults to `Narrow`, which with an empty
     /// mandatory component reduces to "local policies decide".
-    pub fn local_only(local: Vec<Eacl>) -> Self {
+    pub fn local_only(local: impl Into<Arc<[Eacl]>>) -> Self {
         ComposedPolicy {
             mode: CompositionMode::Narrow,
-            system: Vec::new(),
-            local,
+            system: Arc::default(),
+            local: local.into(),
         }
     }
 
@@ -110,6 +116,12 @@ impl ComposedPolicy {
     /// Local EACLs, in priority order (empty under `Stop`).
     pub fn local(&self) -> &[Eacl] {
         &self.local
+    }
+
+    /// The shared allocation behind [`system`](Self::system): compositions
+    /// built from the same store contents point at the same one.
+    pub fn shared_system(&self) -> &Arc<[Eacl]> {
+        &self.system
     }
 
     /// All EACLs in evaluation order (system first, then local), each tagged

@@ -245,11 +245,16 @@ impl GaaGlue {
     ) -> GlueDecision {
         let context = self.extract_context(request, user, groups);
         let now = self.api.clock().now();
+        // Formatted once, by `extract_context`; the signature scan and the
+        // pattern oracle read the same text the `regex` evaluator will.
+        let request_line = context
+            .param_for("request_line", "apache")
+            .unwrap_or_default();
 
         // §3 reporting runs regardless of the decision: detection is part of
         // the same pass as access control. It runs before the cache lookup,
         // so a cache hit changes nothing about what the IDS observes.
-        self.scan_and_report(request, now);
+        self.scan_and_report(request, request_line, now);
 
         // Stamp *after* scanning — a confident signature hit may have just
         // escalated the threat level.
@@ -265,13 +270,12 @@ impl GaaGlue {
             };
         }
 
-        // The full composition is materialized lazily: at a million
-        // principals the system EACL runs to thousands of entries, and the
-        // policy store hands out a deep copy — a verified-slice cache hit
-        // must not pay that per request. Everything below that needs the
-        // full policy goes through `materialize(&mut policy_slot)`, which
-        // fetches at most once; a steady-state sliced request never fills
-        // the slot at all.
+        // The full composition is materialized lazily. The store hands out
+        // shared lists, so a fetch copies no policy, but a verified-slice
+        // cache hit still has no reason to consult the store at all.
+        // Everything below that needs the full policy goes through
+        // `materialize(&mut policy_slot)`, which fetches at most once; a
+        // steady-state sliced request never fills the slot at all.
         let mut policy_slot: Option<gaa_eacl::ComposedPolicy> = None;
 
         // Whole-set pattern tier: one combined pass precomputes every policy
@@ -287,9 +291,8 @@ impl GaaGlue {
                 Err(e) => return self.policy_failure(request, context, now, &e),
             },
         };
-        let _oracle = oracle_matcher.map(|matcher| {
-            install_oracle(PatternOracle::compute(&matcher, &request.request_line()))
-        });
+        let _oracle = oracle_matcher
+            .map(|matcher| install_oracle(PatternOracle::compute(&matcher, request_line)));
 
         let rights = self.requested_rights(request, is_cgi);
         // The request is authorized only if every requested right is.
@@ -298,7 +301,7 @@ impl GaaGlue {
         // translation, and its response actions must fire exactly once
         // (continuing would re-trigger notify/update_log on the remaining
         // rights).
-        let Some((first, rest)) = rights.split_first() else {
+        if rights.is_empty() {
             // Unreachable with the current right builder, but the request
             // path must never panic: an empty right list fails closed.
             self.services.audit.record(gaa_audit::AuditRecord::new(
@@ -318,31 +321,31 @@ impl GaaGlue {
                 result,
                 context,
             };
-        };
-        // The first right's result is kept while everything says YES (so its
-        // response actions fire exactly once); the first non-YES result
-        // replaces it and stops evaluation.
-        let mut evaluated: Vec<(RightPattern, AuthorizationResult)> = Vec::new();
-        let mut result = match self.check_right(&request.path, &mut policy_slot, first, &context) {
-            Ok(result) => result,
-            Err(e) => return self.policy_failure(request, context, now, &e),
-        };
-        evaluated.push((first.clone(), result.clone()));
-        for right in rest {
-            if !result.status().is_yes() {
-                break;
-            }
-            let next = match self.check_right(&request.path, &mut policy_slot, right, &context) {
-                Ok(next) => next,
+        }
+        // Evaluation stops at the first non-YES result. The answer is that
+        // result, or the first right's when everything says YES (so its
+        // response actions fire exactly once).
+        let mut evaluated: Vec<(&RightPattern, AuthorizationResult)> =
+            Vec::with_capacity(rights.len());
+        for right in &rights {
+            let result = match self.check_right(&request.path, &mut policy_slot, right, &context) {
+                Ok(result) => result,
                 Err(e) => return self.policy_failure(request, context, now, &e),
             };
-            evaluated.push((right.clone(), next.clone()));
-            if !next.status().is_yes() {
-                result = next;
+            let granted = result.status().is_yes();
+            evaluated.push((right, result));
+            if !granted {
                 break;
             }
         }
         self.store_decisions(stamp, request, &mut policy_slot, &context, &evaluated);
+        // `rights` is non-empty, so `evaluated` is too.
+        let decisive = if evaluated.last().is_some_and(|(_, r)| !r.status().is_yes()) {
+            evaluated.len() - 1
+        } else {
+            0
+        };
+        let result = evaluated.swap_remove(decisive).1;
         let answer = result.answer();
 
         self.post_decision_observations(request, &context, &answer, now);
@@ -605,7 +608,7 @@ impl GaaGlue {
         request: &HttpRequest,
         policy_slot: &mut Option<gaa_eacl::ComposedPolicy>,
         context: &SecurityContext,
-        evaluated: &[(RightPattern, AuthorizationResult)],
+        evaluated: &[(&RightPattern, AuthorizationResult)],
     ) {
         let Some(cache) = self.cache.as_ref() else {
             return;
@@ -657,16 +660,21 @@ impl GaaGlue {
         }
     }
 
-    /// Scans the request against the signature DB and publishes
+    /// Scans `request_line` against the signature DB and publishes
     /// `ApplicationAttack` / `AbnormalParameters` reports (§3 items 2 & 5),
     /// escalating the threat monitor on confident hits.
-    fn scan_and_report(&self, request: &HttpRequest, now: gaa_audit::Timestamp) {
+    fn scan_and_report(
+        &self,
+        request: &HttpRequest,
+        request_line: &str,
+        now: gaa_audit::Timestamp,
+    ) {
         if let Some(db) = &self.signatures {
             let hits = match self.compiled_signatures(db) {
                 // Single-pass path: one scan over the request line answers
                 // every glob signature at once.
-                Some(compiled) => compiled.scan(&request.request_line(), request.input_len()),
-                None => db.scan(&request.request_line(), request.input_len()),
+                Some(compiled) => compiled.scan(request_line, request.input_len()),
+                None => db.scan(request_line, request.input_len()),
             };
             for hit in hits {
                 let confident = hit.confidence >= 0.8;

@@ -247,24 +247,24 @@ mod tests {
     /// simulates hot-reloading policy files under a running server.
     #[derive(Default)]
     struct SwappableStore {
-        system: Mutex<Vec<gaa_eacl::Eacl>>,
-        local: Mutex<HashMap<String, Vec<gaa_eacl::Eacl>>>,
+        system: Mutex<Arc<[gaa_eacl::Eacl]>>,
+        local: Mutex<HashMap<String, Arc<[gaa_eacl::Eacl]>>>,
     }
 
     impl SwappableStore {
         fn swap_local(&self, object: &str, text: &str) {
             self.local
                 .lock()
-                .insert(object.to_string(), vec![parse_eacl(text).unwrap()]);
+                .insert(object.to_string(), Arc::new([parse_eacl(text).unwrap()]));
         }
     }
 
     impl PolicyStore for SwappableStore {
-        fn system_policies(&self) -> Result<Vec<gaa_eacl::Eacl>, PolicyError> {
+        fn system_policies(&self) -> Result<Arc<[gaa_eacl::Eacl]>, PolicyError> {
             Ok(self.system.lock().clone())
         }
 
-        fn local_policies(&self, object: &str) -> Result<Vec<gaa_eacl::Eacl>, PolicyError> {
+        fn local_policies(&self, object: &str) -> Result<Arc<[gaa_eacl::Eacl]>, PolicyError> {
             Ok(self.local.lock().get(object).cloned().unwrap_or_default())
         }
     }

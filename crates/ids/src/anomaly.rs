@@ -95,6 +95,15 @@ struct Profile {
     total: u64,
 }
 
+impl Profile {
+    fn observe(&mut self, features: &RequestFeatures) {
+        self.query_len.observe(features.query_len as f64);
+        self.path_depth.observe(features.path_depth as f64);
+        self.hour_counts[features.time.hour_of_day() as usize] += 1;
+        self.total += 1;
+    }
+}
+
 /// Per-principal profile builder and anomaly scorer.
 ///
 /// Cloning shares the profile store.
@@ -137,14 +146,17 @@ impl AnomalyDetector {
     }
 
     /// Learns one *legitimate* request into `principal`'s profile
-    /// (§3 item 7 feed).
+    /// (§3 item 7 feed). Only a principal's first observation allocates.
     pub fn learn(&self, principal: &str, features: &RequestFeatures) {
         let mut profiles = self.profiles.lock();
-        let p = profiles.entry(principal.to_string()).or_default();
-        p.query_len.observe(features.query_len as f64);
-        p.path_depth.observe(features.path_depth as f64);
-        p.hour_counts[features.time.hour_of_day() as usize] += 1;
-        p.total += 1;
+        if let Some(profile) = profiles.get_mut(principal) {
+            profile.observe(features);
+            return;
+        }
+        profiles
+            .entry(principal.to_string())
+            .or_default()
+            .observe(features);
     }
 
     /// Anomaly score for a request: max feature z-score plus an
