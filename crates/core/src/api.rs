@@ -156,6 +156,10 @@ impl GaaApiBuilder {
 }
 
 /// An entry that applied during authorization, with its contribution.
+///
+/// The entry is addressed by its position in the composed policy the
+/// [`AuthorizationResult`] holds; [`entry`](Self::entry) borrows it from
+/// there, so recording an applied entry copies nothing out of the policy.
 #[derive(Debug, Clone)]
 pub struct AppliedEntry {
     /// Which layer the entry's EACL came from.
@@ -164,14 +168,30 @@ pub struct AppliedEntry {
     pub eacl_index: usize,
     /// Index of the entry within its EACL.
     pub entry_index: usize,
-    /// The entry itself (cloned so mid/post phases outlive the policy).
-    pub entry: EaclEntry,
     /// Status of the entry's pre-condition block.
     pub pre_status: GaaStatus,
     /// The entry's contribution to its EACL's decision.
     pub decision: GaaStatus,
-    /// Pre-conditions left unevaluated (drives `MAYBE` translation).
-    pub unevaluated: Vec<Condition>,
+    /// Positions, within the entry's pre-condition block, of the conditions
+    /// left unevaluated (drives `MAYBE` translation).
+    unevaluated: Vec<usize>,
+}
+
+impl AppliedEntry {
+    /// The entry itself, borrowed from `policy` — the composition the
+    /// result was evaluated against ([`AuthorizationResult::policy`]).
+    ///
+    /// # Panics
+    ///
+    /// When `policy` has no entry at this position, i.e. it is not the
+    /// composition this entry was recorded against.
+    pub fn entry<'p>(&self, policy: &'p ComposedPolicy) -> &'p EaclEntry {
+        let eacls = match self.layer {
+            PolicyLayer::System => policy.system(),
+            PolicyLayer::Local => policy.local(),
+        };
+        &eacls[self.eacl_index].entries[self.entry_index]
+    }
 }
 
 /// Status of the execution-control or post-execution phase.
@@ -197,33 +217,38 @@ impl PhaseStatus {
 
 /// The result of `gaa_check_authorization`: the three §6 status values plus
 /// everything later phases need.
+///
+/// The result holds the [`ComposedPolicy`] it was evaluated against (two
+/// reference-count bumps) and records applied entries by position in it, so
+/// the mid and post phases enforce the entries that applied even after the
+/// store has been reloaded.
 #[derive(Debug, Clone)]
 pub struct AuthorizationResult {
     right: RightPattern,
+    policy: ComposedPolicy,
     authorization: GaaStatus,
     rr_status: GaaStatus,
     status: GaaStatus,
     applied: Vec<AppliedEntry>,
-    unevaluated: Vec<Condition>,
 }
 
 impl AuthorizationResult {
     /// Rehydrates a result from a cached `Yes`/`No` decision.
     ///
     /// Only decisions that a [`DecisionCache`](crate::DecisionCache) may
-    /// legally store can be rebuilt this way: fully evaluated (`unevaluated`
-    /// empty, so `Yes` answers `Ok` and `No` answers `Declined`, never
+    /// legally store can be rebuilt this way: fully evaluated (nothing
+    /// unevaluated, so `Yes` answers `Ok` and `No` answers `Declined`, never
     /// `Redirect`/`AuthRequired`) and free of request-result, mid- and
     /// post-condition obligations (`applied` empty, so later phases are
     /// no-ops — exactly as they were on the miss that populated the entry).
     pub fn from_cached(right: RightPattern, status: GaaStatus) -> Self {
         AuthorizationResult {
             right,
+            policy: ComposedPolicy::local_only(Arc::<[Eacl]>::default()),
             authorization: status,
             rr_status: GaaStatus::Yes,
             status,
             applied: Vec::new(),
-            unevaluated: Vec::new(),
         }
     }
 
@@ -249,32 +274,45 @@ impl AuthorizationResult {
         &self.right
     }
 
+    /// The composition this result was evaluated against (empty for a
+    /// result rebuilt from the decision cache).
+    pub fn policy(&self) -> &ComposedPolicy {
+        &self.policy
+    }
+
     /// Every entry that applied, in evaluation order (system layer first).
     pub fn applied(&self) -> &[AppliedEntry] {
         &self.applied
     }
 
-    /// Pre-conditions left unevaluated by entries that contributed `MAYBE`.
-    pub fn unevaluated(&self) -> &[Condition] {
-        &self.unevaluated
+    /// The applied entries themselves, in evaluation order, borrowed from
+    /// [`policy`](Self::policy).
+    pub fn applied_entries(&self) -> impl Iterator<Item = &EaclEntry> {
+        self.applied.iter().map(|a| a.entry(&self.policy))
+    }
+
+    /// Pre-conditions left unevaluated by entries that contributed `MAYBE`,
+    /// borrowed from [`policy`](Self::policy).
+    pub fn unevaluated(&self) -> impl Iterator<Item = &Condition> {
+        self.applied
+            .iter()
+            .filter(|a| a.pre_status.is_maybe())
+            .flat_map(|a| {
+                let pre = &a.entry(&self.policy).pre;
+                a.unevaluated.iter().map(move |&i| &pre[i])
+            })
     }
 
     /// Mid-conditions collected from every applied entry, in order —
     /// enforced by [`GaaApi::execution_control`].
-    pub fn mid_conditions(&self) -> Vec<Condition> {
-        self.applied
-            .iter()
-            .flat_map(|a| a.entry.mid.iter().cloned())
-            .collect()
+    pub fn mid_conditions(&self) -> impl Iterator<Item = &Condition> {
+        self.applied_entries().flat_map(|e| e.mid.iter())
     }
 
     /// Post-conditions collected from every applied entry, in order —
     /// enforced by [`GaaApi::post_execution_actions`].
-    pub fn post_conditions(&self) -> Vec<Condition> {
-        self.applied
-            .iter()
-            .flat_map(|a| a.entry.post.iter().cloned())
-            .collect()
+    pub fn post_conditions(&self) -> impl Iterator<Item = &Condition> {
+        self.applied_entries().flat_map(|e| e.post.iter())
     }
 
     /// The request outcome as seen by response actions.
@@ -352,45 +390,26 @@ impl GaaApi {
     ) -> AuthorizationResult {
         let now = ctx.time().unwrap_or_else(|| self.clock.now());
 
-        // Phase 1: find each EACL's applied entry (first-match).
+        // Phases 1 and 2: find each EACL's applied entry (first-match) and
+        // fold the contributions of each layer by conjunction (abstentions
+        // drop out; a layer where every EACL abstains is `None`).
         let mut applied: Vec<AppliedEntry> = Vec::new();
-        let mut sys_contributions: Vec<GaaStatus> = Vec::new();
-        let mut loc_contributions: Vec<GaaStatus> = Vec::new();
-        let mut sys_index = 0usize;
-        let mut loc_index = 0usize;
-        for (layer, eacl) in policy.layers() {
-            let eacl_index = match layer {
-                PolicyLayer::System => {
-                    sys_index += 1;
-                    sys_index - 1
+        let mut layer_decision = |layer: PolicyLayer, eacls: &[Eacl]| {
+            let mut decision: Option<GaaStatus> = None;
+            for (eacl_index, eacl) in eacls.iter().enumerate() {
+                if let Some(entry_applied) =
+                    self.evaluate_eacl(eacl, layer, eacl_index, right, ctx, now)
+                {
+                    decision = Some(
+                        decision.map_or(entry_applied.decision, |d| d.and(entry_applied.decision)),
+                    );
+                    applied.push(entry_applied);
                 }
-                PolicyLayer::Local => {
-                    loc_index += 1;
-                    loc_index - 1
-                }
-            };
-            if let Some(entry_applied) =
-                self.evaluate_eacl(eacl, layer, eacl_index, right, ctx, now)
-            {
-                match layer {
-                    PolicyLayer::System => sys_contributions.push(entry_applied.decision),
-                    PolicyLayer::Local => loc_contributions.push(entry_applied.decision),
-                }
-                applied.push(entry_applied);
             }
-        }
-
-        // Phase 2: conjunction within each layer (abstentions drop out).
-        let sys = if sys_contributions.is_empty() {
-            None
-        } else {
-            Some(GaaStatus::all(sys_contributions))
+            decision
         };
-        let loc = if loc_contributions.is_empty() {
-            None
-        } else {
-            Some(GaaStatus::all(loc_contributions))
-        };
+        let sys = layer_decision(PolicyLayer::System, policy.system());
+        let loc = layer_decision(PolicyLayer::Local, policy.local());
 
         // Phase 3: compose the layers under the declared mode.
         let authorization = self.combine_layers(policy.mode(), sys, loc);
@@ -404,7 +423,8 @@ impl GaaApi {
         };
         let mut rr_status = GaaStatus::Yes;
         for entry_applied in &applied {
-            if entry_applied.entry.rr.is_empty() {
+            let rr = &entry_applied.entry(policy).rr;
+            if rr.is_empty() {
                 continue;
             }
             let env = EvalEnv {
@@ -415,17 +435,11 @@ impl GaaApi {
                 operation_outcome: None,
                 execution: None,
             };
-            let block =
-                self.evaluate_block(&entry_applied.entry.rr, &env, /*stop_on_no=*/ false);
-            rr_status = rr_status.and(block.status);
+            let block = self.evaluate_block(rr, &env, /*stop_on_no=*/ false, |_, _, _| {});
+            rr_status = rr_status.and(block);
         }
 
         let status = authorization.and(rr_status);
-        let unevaluated = applied
-            .iter()
-            .filter(|a| a.pre_status.is_maybe())
-            .flat_map(|a| a.unevaluated.iter().cloned())
-            .collect();
 
         if let Some(audit) = &self.audit {
             if status.is_no() {
@@ -444,11 +458,11 @@ impl GaaApi {
 
         AuthorizationResult {
             right: right.clone(),
+            policy: policy.clone(),
             authorization,
             rr_status,
             status,
             applied,
-            unevaluated,
         }
     }
 
@@ -477,8 +491,8 @@ impl GaaApi {
         ctx: &SecurityContext,
         metrics: &ExecutionMetrics,
     ) -> PhaseStatus {
-        let conditions = result.mid_conditions();
-        if conditions.is_empty() {
+        let mut conditions = result.mid_conditions().peekable();
+        if conditions.peek().is_none() {
             return PhaseStatus::empty();
         }
         let now = ctx.time().unwrap_or_else(|| self.clock.now());
@@ -490,7 +504,7 @@ impl GaaApi {
             operation_outcome: None,
             execution: Some(metrics),
         };
-        let phase = self.evaluate_block(&conditions, &env, /*stop_on_no=*/ false);
+        let phase = self.evaluate_phase(conditions, &env);
         if phase.status.is_no() {
             if let Some(audit) = &self.audit {
                 audit.record(AuditRecord::new(
@@ -520,8 +534,8 @@ impl GaaApi {
         ctx: &SecurityContext,
         operation_outcome: Outcome,
     ) -> PhaseStatus {
-        let conditions = result.post_conditions();
-        if conditions.is_empty() {
+        let mut conditions = result.post_conditions().peekable();
+        if conditions.peek().is_none() {
             return PhaseStatus::empty();
         }
         let now = ctx.time().unwrap_or_else(|| self.clock.now());
@@ -533,7 +547,7 @@ impl GaaApi {
             operation_outcome: Some(operation_outcome),
             execution: None,
         };
-        self.evaluate_block(&conditions, &env, /*stop_on_no=*/ false)
+        self.evaluate_phase(conditions, &env)
     }
 
     /// The registry (for diagnostics).
@@ -628,37 +642,76 @@ impl GaaApi {
         ctx: &SecurityContext,
         now: Timestamp,
     ) -> Option<AppliedEntry> {
+        let env = EvalEnv {
+            context: ctx,
+            phase: CondPhase::Pre,
+            now,
+            request_outcome: None,
+            operation_outcome: None,
+            execution: None,
+        };
         for (entry_index, entry) in eacl.matching_entries(&right.authority, &right.value) {
-            let env = EvalEnv {
-                context: ctx,
-                phase: CondPhase::Pre,
-                now,
-                request_outcome: None,
-                operation_outcome: None,
-                execution: None,
-            };
-            let block = self.evaluate_block(&entry.pre, &env, /*stop_on_no=*/ true);
-            match block.status {
-                GaaStatus::No => continue, // guard failed: fall through
-                pre_status => {
-                    let decision = match (entry.right.polarity, pre_status) {
-                        (Polarity::Positive, s) => s,
-                        (Polarity::Negative, GaaStatus::Yes) => GaaStatus::No,
-                        (Polarity::Negative, _) => GaaStatus::Maybe,
-                    };
-                    return Some(AppliedEntry {
-                        layer,
-                        eacl_index,
-                        entry_index,
-                        entry: entry.clone(),
-                        pre_status,
-                        decision,
-                        unevaluated: block.unevaluated,
-                    });
-                }
+            // A failed guard only makes the entry fall through, so nothing
+            // about its failure is recorded; unevaluated conditions are kept
+            // by position for the `MAYBE` translation.
+            let mut unevaluated = Vec::new();
+            let pre_status = self.evaluate_block(
+                &entry.pre,
+                &env,
+                /*stop_on_no=*/ true,
+                |position, _, status| {
+                    if status.is_maybe() {
+                        unevaluated.push(position);
+                    }
+                },
+            );
+            if pre_status.is_no() {
+                continue; // guard failed: fall through
             }
+            let decision = match (entry.right.polarity, pre_status) {
+                (Polarity::Positive, s) => s,
+                (Polarity::Negative, GaaStatus::Yes) => GaaStatus::No,
+                (Polarity::Negative, _) => GaaStatus::Maybe,
+            };
+            return Some(AppliedEntry {
+                layer,
+                eacl_index,
+                entry_index,
+                pre_status,
+                decision,
+                unevaluated,
+            });
         }
         None
+    }
+
+    /// A mid- or post-condition phase: the block's status plus copies of the
+    /// conditions that failed or stayed unevaluated, which
+    /// [`PhaseStatus`] hands to the caller.
+    fn evaluate_phase<'c>(
+        &self,
+        conditions: impl IntoIterator<Item = &'c Condition>,
+        env: &EvalEnv<'_>,
+    ) -> PhaseStatus {
+        let mut failed = Vec::new();
+        let mut unevaluated = Vec::new();
+        let status = self.evaluate_block(
+            conditions,
+            env,
+            /*stop_on_no=*/ false,
+            |_, cond, status| {
+                if status.is_no() {
+                    failed.push(cond.clone());
+                } else {
+                    unevaluated.push(cond.clone());
+                }
+            },
+        );
+        PhaseStatus {
+            status,
+            failed,
+            unevaluated,
+        }
     }
 
     /// Ordered conjunction of a condition block (§2: "conditions are
@@ -668,17 +721,21 @@ impl GaaApi {
     /// first failure — later conditions in a failed guard must not run their
     /// side effects. Response-action blocks (rr/mid/post) always evaluate
     /// every condition.
-    fn evaluate_block(
+    ///
+    /// Every condition that does not come out met is passed to `record`
+    /// with its position in the block and its status (`No` when it failed,
+    /// `Maybe` when it stayed unevaluated); the caller keeps only what it
+    /// reads, so a block copies nothing by itself.
+    fn evaluate_block<'c>(
         &self,
-        conditions: &[Condition],
+        conditions: impl IntoIterator<Item = &'c Condition>,
         env: &EvalEnv<'_>,
         stop_on_no: bool,
-    ) -> PhaseStatus {
+        mut record: impl FnMut(usize, &'c Condition, GaaStatus),
+    ) -> GaaStatus {
         let mut status = GaaStatus::Yes;
-        let mut failed = Vec::new();
-        let mut unevaluated = Vec::new();
         let mut spent = Duration::ZERO;
-        for cond in conditions {
+        for (position, cond) in conditions.into_iter().enumerate() {
             let eval = self.registry.evaluate(cond, env);
             if let Some(stall) = eval.elapsed {
                 // A hung evaluator consumed real (clock-timeline) time.
@@ -708,7 +765,7 @@ impl GaaApi {
                             .with_attr("value", cond.value.clone()),
                         );
                     }
-                    unevaluated.push(cond.clone());
+                    record(position, cond, GaaStatus::Maybe);
                     status = status.and(GaaStatus::Maybe);
                     break;
                 }
@@ -733,23 +790,19 @@ impl GaaApi {
             match eval.decision {
                 EvalDecision::Met => {}
                 EvalDecision::NotMet => {
-                    failed.push(cond.clone());
+                    record(position, cond, GaaStatus::No);
                     status = status.and(GaaStatus::No);
                     if stop_on_no {
                         break;
                     }
                 }
                 EvalDecision::Unevaluated => {
-                    unevaluated.push(cond.clone());
+                    record(position, cond, GaaStatus::Maybe);
                     status = status.and(GaaStatus::Maybe);
                 }
             }
         }
-        PhaseStatus {
-            status,
-            failed,
-            unevaluated,
-        }
+        status
     }
 
     /// Composition-mode combination of the two layers' decisions (§2.1).
@@ -895,8 +948,9 @@ pos_access_right apache *
         );
         let result = api.check_authorization(&policy, &right(), &SecurityContext::new());
         assert!(result.status().is_maybe());
-        assert_eq!(result.unevaluated().len(), 1);
-        assert_eq!(result.unevaluated()[0].cond_type, "unknown");
+        let unevaluated: Vec<&Condition> = result.unevaluated().collect();
+        assert_eq!(unevaluated.len(), 1);
+        assert_eq!(unevaluated[0].cond_type, "unknown");
     }
 
     #[test]
@@ -1263,8 +1317,8 @@ post_cond log local x
 ";
         let (api, policy) = api_with("", local);
         let result = api.check_authorization(&policy, &right(), &SecurityContext::new());
-        assert_eq!(result.mid_conditions().len(), 2);
-        assert_eq!(result.post_conditions().len(), 1);
+        assert_eq!(result.mid_conditions().count(), 2);
+        assert_eq!(result.post_conditions().count(), 1);
     }
 
     #[test]

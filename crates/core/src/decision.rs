@@ -54,11 +54,12 @@ impl AuthorizationResult {
             GaaStatus::Yes => AnswerCode::Ok,
             GaaStatus::No => AnswerCode::Declined,
             GaaStatus::Maybe => {
-                let unevaluated = self.unevaluated();
-                if unevaluated.len() == 1 && unevaluated[0].cond_type == REDIRECT_COND_TYPE {
-                    AnswerCode::Redirect(unevaluated[0].value.clone())
-                } else {
-                    AnswerCode::AuthRequired
+                let mut unevaluated = self.unevaluated();
+                match (unevaluated.next(), unevaluated.next()) {
+                    (Some(only), None) if only.cond_type == REDIRECT_COND_TYPE => {
+                        AnswerCode::Redirect(only.value.clone())
+                    }
+                    _ => AnswerCode::AuthRequired,
                 }
             }
         }

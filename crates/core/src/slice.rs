@@ -254,11 +254,54 @@ pub struct SliceStats {
 
 type CellKey = (String, String, String, IdentityClass);
 
+/// One cached cell of an object: its right, identity class and slice.
+struct Cell {
+    authority: String,
+    value: String,
+    class: IdentityClass,
+    slice: Option<Arc<ComposedPolicy>>,
+}
+
+impl Cell {
+    fn is(&self, authority: &str, value: &str, class: IdentityClass) -> bool {
+        self.class == class && self.authority == authority && self.value == value
+    }
+}
+
+/// The cached cells, by object. An object holds one cell per right and
+/// identity class asked of it — a handful — so a lookup hashes the borrowed
+/// object name and scans that short list; only an insert allocates.
 #[derive(Default)]
 struct SlicedCells {
     generation: u64,
-    map: HashMap<CellKey, Option<Arc<ComposedPolicy>>>,
+    by_object: HashMap<String, Vec<Cell>>,
+    /// Every cached cell's key, oldest first (FIFO eviction).
     order: VecDeque<CellKey>,
+}
+
+impl SlicedCells {
+    fn get(
+        &self,
+        object: &str,
+        authority: &str,
+        value: &str,
+        class: IdentityClass,
+    ) -> Option<&Cell> {
+        self.by_object
+            .get(object)?
+            .iter()
+            .find(|cell| cell.is(authority, value, class))
+    }
+
+    fn remove(&mut self, (object, authority, value, class): &CellKey) {
+        let Some(cells) = self.by_object.get_mut(object) else {
+            return;
+        };
+        cells.retain(|cell| !cell.is(authority, value, *class));
+        if cells.is_empty() {
+            self.by_object.remove(object);
+        }
+    }
 }
 
 /// A bounded, generation-keyed cache of verified per-cell slices.
@@ -306,27 +349,35 @@ impl SlicedPolicyStore {
     ) -> Option<Arc<ComposedPolicy>> {
         let mut cells = self.cells.lock();
         if cells.generation != generation {
-            cells.map.clear();
+            cells.by_object.clear();
             cells.order.clear();
             cells.generation = generation;
         }
-        let key = (
+        if let Some(hit) = cells.get(object, authority, value, class) {
+            return hit.slice.clone();
+        }
+        let built = build().map(Arc::new);
+        if cells.order.len() >= self.capacity {
+            if let Some(evicted) = cells.order.pop_front() {
+                cells.remove(&evicted);
+            }
+        }
+        cells
+            .by_object
+            .entry(object.to_string())
+            .or_default()
+            .push(Cell {
+                authority: authority.to_string(),
+                value: value.to_string(),
+                class,
+                slice: built.clone(),
+            });
+        cells.order.push_back((
             object.to_string(),
             authority.to_string(),
             value.to_string(),
             class,
-        );
-        if let Some(hit) = cells.map.get(&key) {
-            return hit.clone();
-        }
-        let built = build().map(Arc::new);
-        if cells.map.len() >= self.capacity {
-            if let Some(evicted) = cells.order.pop_front() {
-                cells.map.remove(&evicted);
-            }
-        }
-        cells.map.insert(key.clone(), built.clone());
-        cells.order.push_back(key);
+        ));
         built
     }
 
@@ -363,7 +414,7 @@ impl SlicedPolicyStore {
     /// Cells currently cached.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cells.lock().map.len()
+        self.cells.lock().order.len()
     }
 
     /// Whether no cell is cached.

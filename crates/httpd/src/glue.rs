@@ -259,8 +259,15 @@ impl GaaGlue {
         // Stamp *after* scanning — a confident signature hit may have just
         // escalated the threat level.
         let stamp = self.stamp();
-        if let Some((right, status)) = self.cached_decision(stamp, request, is_cgi, &context) {
-            let result = AuthorizationResult::from_cached(right, status);
+        let mut rights = self.requested_rights(request, is_cgi);
+        // The cache key of each right is formatted at most once per request:
+        // the lookup fills `keys` in right order and the insert after a miss
+        // reuses them.
+        let mut keys: Vec<String> = Vec::new();
+        if let Some((decisive, status)) =
+            self.cached_decision(stamp, request, &rights, &context, &mut keys)
+        {
+            let result = AuthorizationResult::from_cached(rights.swap_remove(decisive), status);
             let answer = result.answer();
             self.post_decision_observations(request, &context, &answer, now);
             return GlueDecision {
@@ -294,7 +301,6 @@ impl GaaGlue {
         let _oracle = oracle_matcher
             .map(|matcher| install_oracle(PatternOracle::compute(&matcher, request_line)));
 
-        let rights = self.requested_rights(request, is_cgi);
         // The request is authorized only if every requested right is.
         // Rights are checked in order and evaluation stops at the first
         // non-YES result: its unevaluated conditions drive the 401/302
@@ -325,27 +331,33 @@ impl GaaGlue {
         // Evaluation stops at the first non-YES result. The answer is that
         // result, or the first right's when everything says YES (so its
         // response actions fire exactly once).
-        let mut evaluated: Vec<(&RightPattern, AuthorizationResult)> =
-            Vec::with_capacity(rights.len());
+        let mut evaluated: Vec<AuthorizationResult> = Vec::with_capacity(rights.len());
         for right in &rights {
             let result = match self.check_right(&request.path, &mut policy_slot, right, &context) {
                 Ok(result) => result,
                 Err(e) => return self.policy_failure(request, context, now, &e),
             };
             let granted = result.status().is_yes();
-            evaluated.push((right, result));
+            evaluated.push(result);
             if !granted {
                 break;
             }
         }
-        self.store_decisions(stamp, request, &mut policy_slot, &context, &evaluated);
+        self.store_decisions(
+            stamp,
+            request,
+            &mut policy_slot,
+            &context,
+            &evaluated,
+            &mut keys,
+        );
         // `rights` is non-empty, so `evaluated` is too.
-        let decisive = if evaluated.last().is_some_and(|(_, r)| !r.status().is_yes()) {
+        let decisive = if evaluated.last().is_some_and(|r| !r.status().is_yes()) {
             evaluated.len() - 1
         } else {
             0
         };
-        let result = evaluated.swap_remove(decisive).1;
+        let result = evaluated.swap_remove(decisive);
         let answer = result.answer();
 
         self.post_decision_observations(request, &context, &answer, now);
@@ -483,7 +495,6 @@ impl GaaGlue {
                 let result = self.api.check_authorization(&slice, right, context);
                 if result
                     .unevaluated()
-                    .iter()
                     .any(|cond| maybe_violates_mask(cond, class))
                 {
                     store.count_guard_fallback();
@@ -529,13 +540,20 @@ impl GaaGlue {
                 self.services.threat.report_suspicion();
             }
             AnswerCode::Ok => {
-                self.publish(GaaReport::new(
-                    now,
-                    ReportKind::LegitimatePattern,
-                    context.subject(),
-                    request.path.clone(),
-                    format!("granted {} len={}", request.method, request.input_len()),
-                ));
+                // Every grant reports; the report is only built when some
+                // subscriber wants legitimate patterns.
+                if let Some(bus) = &self.bus {
+                    let kind = ReportKind::LegitimatePattern;
+                    bus.publish_report_with(kind, now, context.subject(), || {
+                        GaaReport::new(
+                            now,
+                            kind,
+                            context.subject(),
+                            request.path.clone(),
+                            format!("granted {} len={}", request.method, request.input_len()),
+                        )
+                    });
+                }
                 // §3 item 7 / §9: granted requests build the per-principal
                 // profile the anomaly condition scores against.
                 self.services.anomaly.learn(
@@ -560,16 +578,18 @@ impl GaaGlue {
     /// Serves the whole rights conjunction from the cache, emulating the
     /// evaluation loop's stopping rule: the first right's status is kept
     /// while everything says `Yes`; the first non-`Yes` status wins and
-    /// stops. Returns `None` (fall through to full evaluation) unless the
-    /// object's support set is proven cacheable at this policy generation
-    /// and *every* needed lookup hits.
+    /// stops. Returns the index of the deciding right and its status, or
+    /// `None` (fall through to full evaluation) unless the object's support
+    /// set is proven cacheable at this policy generation and *every* needed
+    /// lookup hits. The key of every right looked up is left in `keys`.
     fn cached_decision(
         &self,
         stamp: CacheStamp,
         request: &HttpRequest,
-        is_cgi: bool,
+        rights: &[RightPattern],
         context: &SecurityContext,
-    ) -> Option<(RightPattern, gaa_core::GaaStatus)> {
+        keys: &mut Vec<String>,
+    ) -> Option<(usize, gaa_core::GaaStatus)> {
         let cache = self.cache.as_ref()?;
         // Only a plan computed at the current generation counts; after a
         // reload the slow path recomputes it from the fresh policy.
@@ -577,19 +597,17 @@ impl GaaGlue {
             Some(&(generation, true)) if generation == stamp[0] => {}
             _ => return None,
         }
-        let rights = self.requested_rights(request, is_cgi);
-        let mut kept: Option<(RightPattern, gaa_core::GaaStatus)> = None;
-        for right in rights {
-            let status = cache.lookup(stamp, &cache_key(&right, context))?;
-            let kept_status = kept.as_ref().map(|(_, s)| *s);
-            match kept_status {
-                None => kept = Some((right, status)),
-                Some(s) if s.is_yes() && !status.is_yes() => {
-                    kept = Some((right, status));
+        let mut kept: Option<(usize, gaa_core::GaaStatus)> = None;
+        for index in 0..rights.len() {
+            let status = cache.lookup(stamp, key_for(keys, index, |i| &rights[i], context))?;
+            match kept {
+                None => kept = Some((index, status)),
+                Some((_, s)) if s.is_yes() && !status.is_yes() => {
+                    kept = Some((index, status));
                 }
                 _ => {}
             }
-            if !kept.as_ref().is_some_and(|(_, s)| s.is_yes()) {
+            if !kept.is_some_and(|(_, s)| s.is_yes()) {
                 break;
             }
         }
@@ -601,14 +619,17 @@ impl GaaGlue {
     /// threat transition or group change raced it), the status fully
     /// evaluated (`Yes`/`No`, nothing unevaluated), and no applied entry
     /// carrying response-action, mid- or post-condition obligations (those
-    /// must re-fire on every request).
+    /// must re-fire on every request). `evaluated` holds the results of the
+    /// leading requested rights, in order, so the keys the lookup already
+    /// built in `keys` are reused.
     fn store_decisions(
         &self,
         stamp: CacheStamp,
         request: &HttpRequest,
         policy_slot: &mut Option<gaa_eacl::ComposedPolicy>,
         context: &SecurityContext,
-        evaluated: &[(&RightPattern, AuthorizationResult)],
+        evaluated: &[AuthorizationResult],
+        keys: &mut Vec<String>,
     ) {
         let Some(cache) = self.cache.as_ref() else {
             return;
@@ -645,15 +666,16 @@ impl GaaGlue {
             cache.note_uncacheable();
             return;
         }
-        for (right, result) in evaluated {
+        for (index, result) in evaluated.iter().enumerate() {
             let status = result.status();
             let fully_evaluated =
-                (status.is_yes() || status.is_no()) && result.unevaluated().is_empty();
-            let no_obligations = result.applied().iter().all(|a| {
-                a.entry.rr.is_empty() && a.entry.mid.is_empty() && a.entry.post.is_empty()
-            });
+                (status.is_yes() || status.is_no()) && result.unevaluated().next().is_none();
+            let no_obligations = result
+                .applied_entries()
+                .all(|e| e.rr.is_empty() && e.mid.is_empty() && e.post.is_empty());
             if fully_evaluated && no_obligations {
-                cache.insert(stamp, &cache_key(right, context), status);
+                let key = key_for(keys, index, |i| evaluated[i].right(), context);
+                cache.insert(stamp, key, status);
             } else {
                 cache.note_uncacheable();
             }
@@ -785,6 +807,21 @@ fn classify_input(cond_type: &str, authority: &str) -> Volatility {
     }
 }
 
+/// The cache key of the `index`-th requested right under `ctx`, formatted
+/// on first use (with the key of any earlier right still missing) and kept
+/// in `keys`, which holds the keys of the leading rights in order.
+fn key_for<'k, 'r>(
+    keys: &'k mut Vec<String>,
+    index: usize,
+    right: impl Fn(usize) -> &'r RightPattern,
+    ctx: &SecurityContext,
+) -> &'k str {
+    while keys.len() <= index {
+        keys.push(cache_key(right(keys.len()), ctx));
+    }
+    &keys[index]
+}
+
 /// The cache key: the requested right plus every context field an evaluator
 /// can read. Fields are joined with control separators (`\x1d`–`\x1f`) that
 /// cannot occur in parsed header values or decoded paths as ambiguous
@@ -792,7 +829,21 @@ fn classify_input(cond_type: &str, authority: &str) -> Volatility {
 /// never collide.
 fn cache_key(right: &RightPattern, ctx: &SecurityContext) -> String {
     use std::fmt::Write as _;
-    let mut key = String::with_capacity(96);
+    // Sized for the common key, so formatting it does not reallocate: the
+    // fields' own lengths plus room for the separators and the quoting of
+    // the three optional fields.
+    let fields = right.authority.len()
+        + right.value.len()
+        + ctx.object().map_or(0, str::len)
+        + ctx.user().map_or(0, str::len)
+        + ctx.client_ip().map_or(0, str::len)
+        + ctx.groups().iter().map(|g| g.len() + 1).sum::<usize>()
+        + ctx
+            .params()
+            .iter()
+            .map(|p| p.ptype.len() + p.authority.len() + p.value.len() + 3)
+            .sum::<usize>();
+    let mut key = String::with_capacity(fields + 32);
     let _ = write!(
         key,
         "{}\u{1f}{}\u{1f}{:?}\u{1f}{:?}\u{1f}{:?}",

@@ -261,7 +261,14 @@ impl EventBus {
     }
 
     /// True (and accounted + audited) when the current publish should drop.
-    fn drop_injected(state: &mut BusState, time: Timestamp, what: &str, detail: String) -> bool {
+    /// `detail` describes the event for the audit record and runs only for
+    /// an event that is actually dropped.
+    fn drop_injected(
+        state: &mut BusState,
+        time: Timestamp,
+        what: &str,
+        detail: impl FnOnce() -> String,
+    ) -> bool {
         let faulted = state
             .injector
             .as_ref()
@@ -278,7 +285,7 @@ impl EventBus {
                         "event_bus",
                         format!("{what} dropped by GAA/IDS channel fault"),
                     )
-                    .with_attr("detail", detail),
+                    .with_attr("detail", detail()),
                 );
             }
         }
@@ -307,24 +314,46 @@ impl EventBus {
     /// Publishes a GAA→IDS report to every matching subscriber.
     pub fn publish_report(&self, report: GaaReport) {
         let mut state = self.state.lock();
-        if Self::drop_injected(
-            &mut state,
-            report.time,
-            "GAA report",
-            format!("{:?} from {}", report.kind, report.source),
-        ) {
+        if Self::drop_injected(&mut state, report.time, "GAA report", || {
+            format!("{:?} from {}", report.kind, report.source)
+        }) {
             return;
         }
-        state.report_subs.retain(|sub| {
-            let wanted = sub
-                .kinds
-                .as_ref()
-                .is_none_or(|ks| ks.contains(&report.kind));
-            if !wanted {
-                return true;
-            }
-            sub.sender.send(report.clone()).is_ok()
-        });
+        Self::deliver(&mut state, report.kind, || report);
+    }
+
+    /// Publishes the report `build` makes, running `build` only when some
+    /// subscriber wants `kind`; `time` and `source` describe the report
+    /// when a channel fault drops it. The fault injector is consulted once
+    /// per call, as by [`publish_report`](Self::publish_report), so an
+    /// injected fault schedule does not depend on who is subscribed.
+    pub fn publish_report_with(
+        &self,
+        kind: ReportKind,
+        time: Timestamp,
+        source: &str,
+        build: impl FnOnce() -> GaaReport,
+    ) {
+        let mut state = self.state.lock();
+        if Self::drop_injected(&mut state, time, "GAA report", || {
+            format!("{kind:?} from {source}")
+        }) {
+            return;
+        }
+        Self::deliver(&mut state, kind, build);
+    }
+
+    /// Sends the report `build` makes to every subscriber of `kind`,
+    /// pruning the disconnected ones; builds nothing when none wants it.
+    fn deliver(state: &mut BusState, kind: ReportKind, build: impl FnOnce() -> GaaReport) {
+        let wants = |sub: &ReportSub| sub.kinds.as_ref().is_none_or(|ks| ks.contains(&kind));
+        if !state.report_subs.iter().any(wants) {
+            return;
+        }
+        let report = build();
+        state
+            .report_subs
+            .retain(|sub| !wants(sub) || sub.sender.send(report.clone()).is_ok());
     }
 
     /// Publishes an IDS→GAA advisory to every subscriber.
@@ -336,7 +365,7 @@ impl EventBus {
             &mut state,
             Timestamp::from_millis(0),
             "IDS advisory",
-            format!("{advisory:?}"),
+            || format!("{advisory:?}"),
         ) {
             return;
         }
@@ -518,6 +547,44 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert!(matches!(got[0], IdsAdvisory::ThresholdUpdate { .. }));
         assert_eq!(bus.dropped_events(), 1);
+    }
+
+    #[test]
+    fn lazy_reports_are_built_only_for_a_subscriber() {
+        use gaa_faults::{Fault, FaultPlan, FaultSite};
+        use std::cell::Cell;
+
+        let bus = EventBus::new();
+        let audit = AuditLog::new();
+        let attacks = bus.subscribe_reports(Some(vec![ReportKind::ApplicationAttack]));
+        // Every second publish is dropped: the schedule counts calls, not
+        // built reports.
+        let plan = FaultPlan::builder(8)
+            .fail_nth(FaultSite::EventBus, 1, Fault::Error)
+            .fail_nth(FaultSite::EventBus, 3, Fault::Error)
+            .build();
+        bus.set_fault_injector(Arc::new(plan));
+        bus.set_audit(audit.clone());
+        let builds = Cell::new(0);
+        let publish = |kind| {
+            bus.publish_report_with(kind, Timestamp::from_millis(1), "1.2.3.4", || {
+                builds.set(builds.get() + 1);
+                report(kind)
+            });
+        };
+
+        publish(ReportKind::LegitimatePattern); // nobody wants it
+        publish(ReportKind::LegitimatePattern); // dropped
+        publish(ReportKind::ApplicationAttack); // delivered
+        publish(ReportKind::ApplicationAttack); // dropped
+        assert_eq!(builds.get(), 1);
+        assert_eq!(attacks.drain().len(), 1);
+        assert_eq!(bus.dropped_events(), 2);
+        let dropped = audit.by_category("ids.event_dropped");
+        assert_eq!(
+            dropped[0].attr("detail"),
+            Some("LegitimatePattern from 1.2.3.4")
+        );
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //! condition; these tests count the allocations each one makes on the
 //! calling thread, so tests running in parallel do not disturb the counts.
 
-use gaa::audit::Timestamp;
+use gaa::audit::notify::CollectingNotifier;
+use gaa::audit::{Timestamp, VirtualClock};
 use gaa::conditions::multipattern::{match_one, CombinedMatcher};
-use gaa::conditions::PatternOracle;
+use gaa::conditions::{register_standard, PatternOracle, StandardServices};
 use gaa::core::{
-    ConditionEvaluator, ConditionRegistry, EvalDecision, EvalEnv, GaaApiBuilder, MemoryPolicyStore,
-    SecurityContext,
+    AnswerCode, ConditionEvaluator, ConditionRegistry, DecisionCache, EvalDecision, EvalEnv,
+    GaaApiBuilder, IdentityClass, MemoryPolicyStore, Param, SecurityContext, SlicedPolicyStore,
 };
-use gaa::eacl::{parse_eacl, Condition};
+use gaa::eacl::{parse_eacl, ComposedPolicy, Condition, RightPattern};
+use gaa::httpd::{GaaGlue, HttpRequest};
+use gaa::ids::{EventBus, ReportKind, SignatureDb};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -181,4 +184,153 @@ fn every_object_shares_one_system_list() {
         reloaded.shared_system()
     ));
     assert_eq!(first.system(), reloaded.system());
+}
+
+/// A signature bank: `n` deny entries, each guarded by a `regex` condition
+/// that a benign request fails, in front of one grant.
+fn guard_bank(n: usize) -> MemoryPolicyStore {
+    let mut text = String::new();
+    for i in 0..n {
+        text.push_str(&format!(
+            "neg_access_right apache *\npre_cond regex gnu *exploit{i}*\n"
+        ));
+    }
+    text.push_str("pos_access_right apache *\n");
+    let mut store = MemoryPolicyStore::new();
+    store.set_system(vec![parse_eacl(&text).unwrap()]);
+    store
+}
+
+/// A glue over `store` configured as a production server: signature scan,
+/// an IDS bus with one attack-report subscriber, the decision cache and
+/// policy slicing.
+fn production_glue(
+    store: MemoryPolicyStore,
+) -> (GaaGlue, gaa::ids::Subscription<gaa::ids::GaaReport>) {
+    let services = StandardServices::new(
+        Arc::new(VirtualClock::new()),
+        Arc::new(CollectingNotifier::new()),
+    );
+    let api = register_standard(
+        GaaApiBuilder::new(Arc::new(store)).with_clock(services.clock.clone()),
+        &services,
+    )
+    .build();
+    let bus = EventBus::new();
+    let attacks = bus.subscribe_reports(Some(vec![ReportKind::ApplicationAttack]));
+    let glue = GaaGlue::new(api, services)
+        .with_signatures(SignatureDb::with_defaults())
+        .with_bus(bus)
+        .with_decision_cache(DecisionCache::new())
+        .with_policy_slicing(64);
+    (glue, attacks)
+}
+
+fn benign(query: usize) -> HttpRequest {
+    HttpRequest::get(&format!("/index.html?q={query}")).with_client_ip("10.0.0.1")
+}
+
+#[test]
+fn evaluation_cost_does_not_grow_with_the_policy() {
+    let ctx = SecurityContext::new().with_param(Param::new(
+        "request_line",
+        "apache",
+        "GET /index.html?q=1 HTTP/1.1",
+    ));
+    let right = RightPattern::new("apache", "GET");
+    let mut counts = Vec::new();
+    for n in [24, 240] {
+        let store = guard_bank(n);
+        let services = StandardServices::new(
+            Arc::new(VirtualClock::new()),
+            Arc::new(CollectingNotifier::new()),
+        );
+        let api = register_standard(GaaApiBuilder::new(Arc::new(store)), &services).build();
+        let policy = api.get_object_policy_info("/index.html").unwrap();
+        let _ = api.check_authorization(&policy, &right, &ctx);
+        let (result, allocations) =
+            allocations_in(|| api.check_authorization(&policy, &right, &ctx));
+        assert!(result.status().is_yes());
+        assert_eq!(result.applied().len(), 1, "only the grant applies");
+        assert_eq!(result.applied()[0].entry_index, n);
+        counts.push(allocations);
+    }
+    assert_eq!(counts[0], counts[1], "24 guards vs 240 guards: {counts:?}");
+    assert!(
+        counts[0] <= 4,
+        "check_authorization allocated {}",
+        counts[0]
+    );
+}
+
+#[test]
+fn a_decision_cache_miss_costs_the_same_on_any_bank() {
+    let mut counts = Vec::new();
+    for n in [24, 240] {
+        let (glue, attacks) = production_glue(guard_bank(n));
+        // Warm-up: cell proofs, pattern plans and the cache plan are built
+        // on first sight of the object.
+        for q in 0..4 {
+            assert_eq!(
+                glue.authorize(&benign(q), None, &[], false).answer,
+                AnswerCode::Ok
+            );
+        }
+        let misses = glue.decision_cache().unwrap().stats().misses;
+        let request = benign(1_000);
+        let (decision, allocations) = allocations_in(|| glue.authorize(&request, None, &[], false));
+        assert_eq!(decision.answer, AnswerCode::Ok);
+        assert_eq!(glue.decision_cache().unwrap().stats().misses, misses + 1);
+        assert!(attacks.drain().is_empty());
+        counts.push(allocations);
+    }
+    assert_eq!(counts[0], counts[1], "24 guards vs 240 guards: {counts:?}");
+    assert!(counts[0] <= 56, "a cache miss allocated {}", counts[0]);
+}
+
+/// What a decision-cache hit may allocate: 36, the count measured before
+/// the cache key was sized up front and built once per right (a hit now
+/// makes 30, most of them in context extraction).
+const HIT_BUDGET: u64 = 36;
+
+#[test]
+fn a_decision_cache_hit_stays_within_budget() {
+    let (glue, _attacks) = production_glue(guard_bank(24));
+    let request = benign(7);
+    for _ in 0..2 {
+        assert_eq!(
+            glue.authorize(&request, None, &[], false).answer,
+            AnswerCode::Ok
+        );
+    }
+    let hits = glue.decision_cache().unwrap().stats().hits;
+    let (decision, allocations) = allocations_in(|| glue.authorize(&request, None, &[], false));
+    assert_eq!(decision.answer, AnswerCode::Ok);
+    assert_eq!(glue.decision_cache().unwrap().stats().hits, hits + 1);
+    assert!(
+        allocations <= HIT_BUDGET,
+        "a cache hit allocated {allocations}"
+    );
+}
+
+#[test]
+fn a_slice_cell_lookup_allocates_nothing() {
+    let store = SlicedPolicyStore::new(8);
+    let slice =
+        ComposedPolicy::local_only(vec![parse_eacl("pos_access_right apache *\n").unwrap()]);
+    let cells = [
+        ("/a.html", "GET", IdentityClass::Anonymous),
+        ("/a.html", "GET", IdentityClass::Authenticated),
+        ("/a.html", "EXEC_CGI", IdentityClass::Anonymous),
+        ("/b.html", "GET", IdentityClass::Anonymous),
+    ];
+    for (object, value, class) in cells {
+        let _ = store.sliced_for(1, object, "apache", value, class, || Some(slice.clone()));
+    }
+    for (object, value, class) in cells {
+        let (hit, allocations) =
+            allocations_in(|| store.sliced_for(1, object, "apache", value, class, || None));
+        assert!(hit.is_some(), "{object} {value} {class:?} was cached");
+        assert_eq!(allocations, 0, "looking up {object} {value} {class:?}");
+    }
 }

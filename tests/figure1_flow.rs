@@ -123,7 +123,7 @@ fn step_3_execution_control_enforces_mid_conditions() {
     let (glue, services) = build_glue();
     let request = HttpRequest::get("/cgi-bin/search?q=abc").with_client_ip("10.0.0.1");
     let decision = glue.authorize(&request, Some("alice"), &[], true);
-    assert_eq!(decision.result.mid_conditions().len(), 1);
+    assert_eq!(decision.result.mid_conditions().count(), 1);
 
     // Under the 120-tick budget: allowed to continue.
     let mut execution = CgiExecution::start(&CgiScript::search(), "q=abc");

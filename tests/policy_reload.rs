@@ -5,11 +5,15 @@
 use gaa::audit::notify::CollectingNotifier;
 use gaa::audit::VirtualClock;
 use gaa::conditions::{register_standard, StandardServices};
-use gaa::core::{CachingPolicyStore, DecisionCache, FilePolicyStore, GaaApiBuilder};
+use gaa::core::{
+    AnswerCode, CachingPolicyStore, DecisionCache, ExecutionMetrics, FilePolicyStore,
+    GaaApiBuilder, MemoryPolicyStore, Outcome, PolicyError, PolicyStore,
+};
+use gaa::eacl::{parse_eacl, Eacl};
 use gaa::httpd::{AccessControl, GaaGlue, HttpRequest, Server, StatusCode, Vfs};
 use gaa::ids::ThreatLevel;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 fn setup_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gaa-reload-{tag}-{}", std::process::id()));
@@ -187,4 +191,86 @@ fn decision_cache_invalidates_on_threat_transition() {
     let stats = server.decision_cache_stats().unwrap();
     assert!(stats.hits >= 1, "{stats:?}");
     assert!(stats.invalidations >= 2, "{stats:?}");
+}
+
+/// A memory store that can be edited while an API holds it, as a reload
+/// would replace an object's policy under a running server.
+#[derive(Default)]
+struct EditableStore(RwLock<MemoryPolicyStore>);
+
+impl EditableStore {
+    fn set_local(&self, object: &str, text: &str) {
+        self.0
+            .write()
+            .unwrap()
+            .set_local(object, vec![parse_eacl(text).unwrap()]);
+    }
+}
+
+impl PolicyStore for EditableStore {
+    fn system_policies(&self) -> Result<Arc<[Eacl]>, PolicyError> {
+        self.0.read().unwrap().system_policies()
+    }
+
+    fn local_policies(&self, object: &str) -> Result<Arc<[Eacl]>, PolicyError> {
+        self.0.read().unwrap().local_policies(object)
+    }
+
+    fn generation(&self) -> u64 {
+        self.0.read().unwrap().generation()
+    }
+}
+
+#[test]
+fn a_result_keeps_enforcing_the_entry_it_applied_across_a_reload() {
+    let store = Arc::new(EditableStore::default());
+    store.set_local(
+        "/cgi-bin/search",
+        "pos_access_right apache *\n\
+         mid_cond cpu_limit local 100\n\
+         post_cond audit local on:success/op.completed/info:served\n",
+    );
+    let services = StandardServices::new(
+        Arc::new(VirtualClock::new()),
+        Arc::new(CollectingNotifier::new()),
+    );
+    let api = register_standard(
+        GaaApiBuilder::new(store.clone()).with_clock(services.clock.clone()),
+        &services,
+    )
+    .build();
+    let glue = GaaGlue::new(api, services.clone());
+    let request = HttpRequest::get("/cgi-bin/search?q=1").with_client_ip("10.0.0.1");
+    let decision = glue.authorize(&request, None, &[], true);
+    assert_eq!(decision.answer, AnswerCode::Ok);
+
+    // The object's policy is reloaded without the obligations: new requests
+    // carry none.
+    store.set_local("/cgi-bin/search", "pos_access_right apache *\n");
+    let fresh = glue.authorize(&request, None, &[], true);
+    assert_eq!(fresh.answer, AnswerCode::Ok);
+    assert_eq!(fresh.result.mid_conditions().count(), 0);
+    assert_eq!(fresh.result.post_conditions().count(), 0);
+
+    // The operation authorized before the reload still runs under the
+    // entry that applied to it: its CPU budget is enforced…
+    let api = glue.api();
+    let metrics = |cpu_ticks| ExecutionMetrics {
+        cpu_ticks,
+        ..ExecutionMetrics::zero()
+    };
+    let within = api.execution_control(&decision.result, &decision.context, &metrics(50));
+    assert!(within.status.is_yes());
+    let over = api.execution_control(&decision.result, &decision.context, &metrics(500));
+    assert!(over.status.is_no());
+    assert_eq!(over.failed.len(), 1);
+    assert_eq!(over.failed[0].cond_type, "cpu_limit");
+
+    // …and its completion is audited, while the fresh result's is not.
+    let completed = || services.audit.count_category("op.completed");
+    let post = api.post_execution_actions(&decision.result, &decision.context, Outcome::Success);
+    assert!(post.status.is_yes());
+    assert_eq!(completed(), 1);
+    let _ = api.post_execution_actions(&fresh.result, &fresh.context, Outcome::Success);
+    assert_eq!(completed(), 1);
 }
